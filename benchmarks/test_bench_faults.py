@@ -19,6 +19,7 @@ import os
 import time
 
 from benchmarks.conftest import emit
+from repro.core.parameters import SwapParameters
 from repro.faults import FaultSpec, InjectionPlan
 from repro.service.api import SwapService
 from repro.service.cache import DiskCache
@@ -32,6 +33,16 @@ ROUNDS = 30
 
 def _requests():
     return [SolveRequest(pstar=pstar) for pstar in PSTARS]
+
+
+def _pooled_requests(shift=0.0):
+    """One solve per P*, each with its own params: groups of one, which
+    the answer chain dispatches to the worker pool."""
+    base = SwapParameters.default()
+    return [
+        SolveRequest(pstar=p + shift, params=base.replace(sigma=0.1 + 0.001 * k))
+        for k, p in enumerate(PSTARS)
+    ]
 
 
 def _best_of(fn, rounds):
@@ -74,11 +85,9 @@ def test_disabled_injector_overhead_under_2_percent():
 
 def test_pool_rebuild_recovery_latency():
     clean = SwapService(max_workers=2)
-    clean.run_batch(_requests())  # warm: imports, pool spin-up
+    clean.run_batch(_pooled_requests())  # warm: imports, pool spin-up
     t0 = time.perf_counter()
-    baseline_items = clean.run_batch(
-        [SolveRequest(pstar=p + 1.0) for p in PSTARS]
-    )
+    baseline_items = clean.run_batch(_pooled_requests(1.0))
     clean_s = time.perf_counter() - t0
 
     # after=8: the 8 warm-batch dispatches pass untouched, the 9th --
@@ -87,11 +96,9 @@ def test_pool_rebuild_recovery_latency():
         faults=(FaultSpec(kind="worker_crash", after=8, count=1),), seed=3
     )
     chaotic = SwapService(max_workers=2, faults=plan)
-    chaotic.run_batch(_requests())  # warm: imports, decisions 1-8
+    chaotic.run_batch(_pooled_requests())  # warm: imports, decisions 1-8
     t0 = time.perf_counter()
-    healed_items = chaotic.run_batch(
-        [SolveRequest(pstar=p + 1.0) for p in PSTARS]
-    )
+    healed_items = chaotic.run_batch(_pooled_requests(1.0))
     healed_s = time.perf_counter() - t0
 
     assert all(item.ok for item in healed_items)

@@ -23,6 +23,7 @@ import time
 from pathlib import Path
 
 from repro import SwapParameters, solve_grid
+from repro.core import solve_swap_game
 from repro.service import SwapService
 from repro.surface import AxisSpec, SurfaceSpec, warm_surface
 
@@ -81,8 +82,8 @@ def main() -> None:
         print("every error sat inside the bound it was served with")
 
         print("\n=== Off-surface requests stay exact ===")
-        item = service.sweep([3.5])[0]
-        truth = float(solve_grid(params, [3.5]).success_rate[0])
+        item = service.sweep([3.5])[0]  # a lone point: the scalar rung
+        truth = solve_swap_game(params, 3.5).success_rate
         print(f"P* = 3.5 is beyond the axis -> source={item.source!r}, "
               f"bit-identical: {item.unwrap().success_rate == truth}")
 

@@ -69,8 +69,7 @@ writes a checksummed, memory-mapped artifact to ``--out``. Pointing
 ``batch``, ``serve`` or ``sweep`` at it with ``--surface`` installs
 certified interpolation as the first answer tier; tolerance-less
 requests stay exact unless ``--tolerance`` grants a default error
-budget (``--surface-tolerance`` is the deprecated spelling, kept for
-one release).
+budget.
 
 Invalid artifact names and invalid ``--pstar``/``--collateral`` values
 exit non-zero with a one-line error instead of a traceback.
@@ -740,26 +739,6 @@ def _add_surface_arguments(parser: argparse.ArgumentParser) -> None:
         help="service-wide interpolation error budget; without it, "
         "tolerance-less requests stay exact",
     )
-    parser.add_argument(
-        "--surface-tolerance",
-        type=float,
-        default=None,
-        help="deprecated spelling of --tolerance (one release of grace)",
-    )
-
-
-def _resolve_tolerance(args: argparse.Namespace) -> Optional[float]:
-    """The canonical ``tolerance`` value, honouring the deprecated flag."""
-    if args.surface_tolerance is not None:
-        from repro.deprecation import warn_once
-
-        warn_once(
-            "cli.surface-tolerance",
-            "--surface-tolerance is deprecated; use --tolerance",
-        )
-        if args.tolerance is None:
-            return args.surface_tolerance
-    return args.tolerance
 
 
 def _add_batch_arguments(batch: argparse.ArgumentParser) -> None:
@@ -1004,7 +983,7 @@ def _cmd_batch(args: argparse.Namespace) -> CommandOutcome:
             cache_entries=args.cache_entries,
             fault_plan=args.fault_plan,
             surface=args.surface,
-            tolerance=_resolve_tolerance(args),
+            tolerance=args.tolerance,
         )
     finally:
         if log_handle is not None:
@@ -1033,7 +1012,7 @@ def _cmd_stats(args: argparse.Namespace) -> CommandOutcome:
             args.timeout,
             cache_entries=args.cache_entries,
             surface=args.surface,
-            tolerance=_resolve_tolerance(args),
+            tolerance=args.tolerance,
         )
     if args.format == "json" or args.json:
         return 0, get_registry().snapshot()
@@ -1059,7 +1038,7 @@ def _cmd_serve(args: argparse.Namespace) -> CommandOutcome:
         metrics_out=args.metrics_out,
         fault_plan=args.fault_plan,
         surface=args.surface,
-        tolerance=_resolve_tolerance(args),
+        tolerance=args.tolerance,
         replicas=args.replicas,
         probe_interval=args.probe_interval,
         probe_failures=args.probe_failures,

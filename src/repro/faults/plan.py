@@ -27,14 +27,20 @@ The *kind* names the hook site that honours the spec:
 ==================  ====================================================
 kind                injected behaviour (hook site)
 ==================  ====================================================
-``worker_crash``    pool worker dies mid-request (``executor.WorkerPool``)
-``worker_hang``     request stalls ``delay`` seconds in the worker
+``worker_crash``    pool worker dies mid-request (``executor.WorkerPool``;
+                    only requests the chain's scalar rung dispatches:
+                    validations, swap graphs, solve groups below the
+                    engine's size cut or refused by it)
+``worker_hang``     request stalls ``delay`` seconds in the worker (same
+                    requests as ``worker_crash``)
 ``cache_corrupt``   a just-written disk-cache entry is garbled on disk
 ``cache_io_error``  disk-cache read/write raises ``OSError``
 ``disk_slow``       disk-cache I/O stalls ``delay`` seconds
 ``http_drop``       connection dropped without a response (server/client)
 ``http_slow``       response stalls ``delay`` seconds (server/client)
-``engine_error``    the vectorised grid engine raises (``SwapService.sweep``)
+``engine_error``    one grid-engine group pass raises and that group falls
+                    to the scalar rung (``service.sources.EngineSource``;
+                    key = ``sweep:<points>``, the group's size)
 ``oracle_outage``   the Section IV Oracle refuses to settle
 ``surface_corrupt``   a surface artifact fails verification and is
                       quarantined on load (``surface.artifact``)
@@ -44,9 +50,9 @@ kind                injected behaviour (hook site)
                       node (``server.aio``; key = replica name)
 ``swapgraph_error``   a swap-graph request fails with a typed
                       ``SolveFailedError`` before dispatch
-                      (``SwapService.run_batch``)
+                      (``service.sources.ScalarSource``)
 ``swapgraph_slow``    a swap-graph request stalls ``delay`` seconds at
-                      dispatch (``SwapService.run_batch``)
+                      dispatch (``service.sources.ScalarSource``)
 ``replica_crash_loop``  a just-restarted replica is killed before its
                         announce, exercising the supervisor's backoff
                         and flap detector (``server.replica``; key =

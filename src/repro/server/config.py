@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.deprecation import warn_once
-
 __all__ = ["ServerConfig"]
 
 
@@ -87,8 +85,6 @@ class ServerConfig:
     tolerance:
         Service-wide default answer tolerance for surface
         interpolation; ``None`` keeps tolerance-less requests exact.
-        (``surface_tolerance`` is the pre-v1.2 spelling, kept for one
-        release behind a warn-once shim.)
     probe_interval:
         Sharded tier only: seconds between active ``/readyz`` probes of
         each replica. ``None`` (default) disables active probing and
@@ -144,7 +140,6 @@ class ServerConfig:
     fault_plan: Optional[str] = None
     surface: Optional[str] = None
     tolerance: Optional[float] = None
-    surface_tolerance: Optional[float] = None
     probe_interval: Optional[float] = None
     probe_failures: int = 3
     supervise: bool = True
@@ -227,15 +222,6 @@ class ServerConfig:
             "overload_target",
             _check_positive_seconds("overload_target", self.overload_target),
         )
-        if self.surface_tolerance is not None:
-            warn_once(
-                "ServerConfig.surface_tolerance",
-                "ServerConfig(surface_tolerance=) is deprecated; "
-                "pass tolerance= instead",
-            )
-            if self.tolerance is None:
-                object.__setattr__(self, "tolerance", self.surface_tolerance)
-            object.__setattr__(self, "surface_tolerance", None)
         if self.tolerance is not None:
             tolerance = float(self.tolerance)
             if not (math.isfinite(tolerance) and tolerance >= 0.0):

@@ -14,10 +14,13 @@ engine. The pieces, bottom-up:
   on-disk JSON store, with hit/miss/eviction counters;
 * :mod:`repro.service.executor` -- process-pool execution with
   per-request timeouts and deterministic seeding;
-* :mod:`repro.service.sources` -- the pluggable answer-source
-  chain (``surface -> cache -> engine -> scalar``) behind sweeps;
-* :mod:`repro.service.api` -- :class:`SwapService`, the batch facade
-  the CLI (``repro-swaps batch``) and the analysis sweeps consume;
+* :mod:`repro.service.sources` -- the answer-source chain
+  (``surface -> cache -> engine -> scalar``) behind every entry point;
+  solves sharing ``(params, collateral)`` coalesce onto one grid-engine
+  pass;
+* :mod:`repro.service.api` -- :class:`SwapService`, the batch/sweep
+  facade the CLI (``repro-swaps batch``), the HTTP server and the
+  analysis sweeps consume;
 * :mod:`repro.service.jsonl` -- the JSON-lines batch wire format
   shared by the CLI and the HTTP server (:mod:`repro.server`).
 

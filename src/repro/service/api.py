@@ -1,44 +1,42 @@
 """The service facade: batched, cached, parallel solve-and-validate.
 
 :class:`SwapService` is the serveable engine in front of the paper's
-solvers. A batch of requests flows through three stages:
+solvers. Every entry point -- :meth:`~SwapService.run_batch`,
+:meth:`~SwapService.sweep` and the conveniences built on them -- takes
+one path:
 
 1. **canonicalise + dedupe** -- every request is hashed into its
    canonical key (:mod:`repro.service.keys`); duplicates within the
-   batch are computed once;
-2. **cache** -- keys are looked up in the two-tier cache
-   (:mod:`repro.service.cache`); only misses proceed;
-3. **execute** -- misses fan out over the worker pool
-   (:mod:`repro.service.executor`), serially when ``max_workers=1``.
+   call are computed once;
+2. **answer** -- the unique requests go down the answer-source chain
+   (:mod:`repro.service.sources`): ``surface -> cache -> engine ->
+   scalar``. Tolerance-granted solves the loaded surface artifact
+   (:mod:`repro.surface`) certifies are interpolated in microseconds,
+   exact cache hits come next, solves sharing ``(params, collateral)``
+   coalesce onto one vectorised grid-engine pass
+   (:mod:`repro.core.engine`) once the group is large enough, and the
+   rest runs per request on the worker pool
+   (:mod:`repro.service.executor`);
+3. **assemble** -- results come back as :class:`BatchItem` records in
+   request order: a value *or* a typed error per request -- one bad
+   request never kills the batch.
 
-Results come back as :class:`BatchItem` records in request order: a
-value *or* a typed error per request -- one bad request never kills
-the batch. The figure sweeps of :mod:`repro.analysis` route through
+The figure sweeps of :mod:`repro.analysis` route through
 :func:`default_service`, so repeated artifact generation is served
 from cache.
 
-:meth:`SwapService.sweep` is the exception to stage 3: a sweep routes
-through the explicit answer-source chain
-(:mod:`repro.service.sources`) -- ``surface -> cache -> engine ->
-scalar`` -- so points covered by a precomputed surface artifact
-(:mod:`repro.surface`) are answered by certified interpolation in
-microseconds, exact cache hits next, and the cache misses are solved
-in a single vectorised pass through the grid engine
-(:mod:`repro.core.engine`) rather than one scalar solve per point.
-
 Surface participation is always *opt-in by tolerance*: with no
 tolerance granted anywhere (request, call, or service construction),
-every answer is exact and bit-identical to the solver's.
+every answer is exact.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.parameters import SwapParameters
-from repro.deprecation import warn_once
 from repro.faults.injector import build_injector
 from repro.obs.logging import get_logger
 from repro.obs.metrics import get_registry
@@ -48,17 +46,16 @@ from repro.service.errors import (
     RequestValidationError,
     ServiceError,
     ServiceErrorInfo,
-    SolveFailedError,
 )
 from repro.service.executor import Result, WorkerPool
-from repro.service.keys import canonical_payload, derive_seed, request_key
+from repro.service.keys import request_key
 from repro.service.requests import (
     Request,
     SolveRequest,
     SwapGraphRequest,
     ValidateRequest,
 )
-from repro.service.sources import Slot, SourceChain, SweepContext
+from repro.service.sources import Slot, SourceChain
 from repro.swapgraph.metrics import observe_graph_request
 
 __all__ = ["BatchItem", "SwapService", "default_service"]
@@ -126,9 +123,7 @@ class SwapService:
         Service-wide default answer tolerance: when set, solve
         requests without their own ``tolerance`` may be answered by
         the surface within this absolute success-rate error. ``None``
-        (default) keeps every tolerance-less request exact. (The
-        pre-v1.2 spelling ``surface_tolerance=`` still works for one
-        release behind a warn-once shim.)
+        (default) keeps every tolerance-less request exact.
     """
 
     def __init__(
@@ -141,16 +136,7 @@ class SwapService:
         faults=None,
         surface=None,
         tolerance: Optional[float] = None,
-        surface_tolerance: Optional[float] = None,
     ) -> None:
-        if surface_tolerance is not None:
-            warn_once(
-                "SwapService.surface_tolerance",
-                "SwapService(surface_tolerance=) is deprecated; "
-                "pass tolerance= instead",
-            )
-            if tolerance is None:
-                tolerance = surface_tolerance
         self.faults = build_injector(faults)
         self._cache = TieredCache.build(
             maxsize=cache_size,
@@ -213,138 +199,16 @@ class SwapService:
     # ------------------------------------------------------------------ #
 
     def run_batch(self, requests: Sequence[Request]) -> List[BatchItem]:
-        """Execute a (possibly mixed solve/validate) batch.
+        """Execute a (possibly mixed solve/validate/swap-graph) batch.
 
-        Identical requests are deduped onto one computation, cache hits
-        are served without touching the pool, and failures come back as
-        per-item typed errors in request order.
+        Identical requests are deduped onto one computation, and the
+        unique ones go down the answer-source chain: solves sharing
+        ``(params, collateral)`` coalesce onto one grid-engine pass once
+        there are enough of them. Failures come back as per-item typed
+        errors in request order. A solve's own ``tolerance`` (else the
+        service default) is its surface grant.
         """
-        registry = get_registry()
-        registry.counter(
-            "repro_batches_total", help="Batches served by SwapService."
-        ).inc()
-        registry.counter(
-            "repro_batch_requests_total",
-            help="Requests received across all batches.",
-        ).inc(len(requests))
-
-        with span("batch.canonicalise"):
-            keys = [request_key(request) for request in requests]
-
-        jobs: List[tuple] = []  # (key, request, seed)
-        scheduled = set()
-        resolved: Dict[str, Union[Result, ServiceError]] = {}
-        from_cache = set()
-        from_surface = set()
-
-        # surface pre-pass: tolerance-granted solves may be answered by
-        # certified interpolation before touching cache or pool
-        surface_consulted = False
-        if self.surface is not None:
-            with span("batch.surface_lookup"):
-                for key, request in zip(keys, requests):
-                    if key in resolved or not isinstance(request, SolveRequest):
-                        continue
-                    tolerance = (
-                        request.tolerance
-                        if request.tolerance is not None
-                        else self._tolerance
-                    )
-                    if tolerance is None or tolerance <= 0.0:
-                        continue  # exactness demanded; not consulted
-                    surface_consulted = True
-                    answer = self.surface.answer(
-                        request.params,
-                        request.pstar,
-                        collateral=request.collateral,
-                        tolerance=tolerance,
-                    )
-                    if answer is not None:
-                        resolved[key] = answer
-                        from_surface.add(key)
-
-        with span("batch.cache_lookup"):
-            for key, request in zip(keys, requests):
-                if key in scheduled or key in resolved:
-                    continue
-                hit = self._cache.get(key)
-                if hit is not None:
-                    resolved[key] = hit
-                    from_cache.add(key)
-                    continue
-                seed = None
-                if isinstance(request, (ValidateRequest, SwapGraphRequest)):
-                    seed = (
-                        request.seed
-                        if request.seed is not None
-                        else derive_seed(key)
-                    )
-                if isinstance(request, SwapGraphRequest) and self.faults.enabled:
-                    # chaos hooks for the swap-graph path, decided here
-                    # in the dispatching process (like worker faults)
-                    # against the request's canonical payload
-                    payload = canonical_payload(request)
-                    if self.faults.fires("swapgraph_error", payload):
-                        resolved[key] = SolveFailedError(
-                            "injected swapgraph_error"
-                        )
-                        continue
-                    self.faults.sleep("swapgraph_slow", payload)
-                jobs.append((key, request, seed))
-                scheduled.add(key)
-        registry.counter(
-            "repro_batch_deduped_total",
-            help="Requests collapsed onto an identical in-batch computation.",
-        ).inc(
-            len(requests) - len(scheduled) - len(from_cache) - len(from_surface)
-        )
-        if surface_consulted and (from_cache or jobs):
-            # the chain's transition accounting, batch-shaped: the
-            # surface was consulted but some answers came from below
-            registry.counter(
-                "repro_degraded_total",
-                help="Times the stack fell back to a degraded path.",
-                labelnames=("path",),
-            ).inc(path="surface_to_engine")
-
-        if jobs:
-            with span("batch.execute"):
-                outcomes = self._pool.map(
-                    [(request, seed) for _, request, seed in jobs]
-                )
-            for (key, _request, _seed), outcome in zip(jobs, outcomes):
-                resolved[key] = outcome
-                if not isinstance(outcome, ServiceError):
-                    self._cache.put(key, outcome)
-
-        items: List[BatchItem] = []
-        for key, request in zip(keys, requests):
-            outcome = resolved[key]
-            if isinstance(outcome, ServiceError):
-                item = BatchItem(
-                    key=key,
-                    ok=False,
-                    error=ServiceErrorInfo.from_exception(outcome),
-                    source="scalar",
-                )
-            else:
-                item = BatchItem(
-                    key=key,
-                    ok=True,
-                    value=outcome,
-                    cached=key in from_cache,
-                    source=(
-                        "surface"
-                        if key in from_surface
-                        else "cache" if key in from_cache else "scalar"
-                    ),
-                )
-            if isinstance(request, SwapGraphRequest):
-                # counted here, in the serving process: solver-side
-                # metrics from pool workers never reach the exporter
-                observe_graph_request(item.source or "scalar")
-            items.append(item)
-        return items
+        return self._answer(requests)
 
     def solve_batch(self, requests: Sequence[SolveRequest]) -> List[BatchItem]:
         """Solve many games; see :meth:`run_batch` for semantics."""
@@ -365,16 +229,14 @@ class SwapService:
     ) -> List[BatchItem]:
         """Solve one game per exchange rate (the figure-sweep shape).
 
-        A sweep shares one set of parameters across every ``P*``, so
-        it routes down the answer-source chain
-        (:mod:`repro.service.sources`): points the loaded surface can
-        certify within ``tolerance`` are interpolated in microseconds,
-        exact cache hits come next, and the remainder is solved in a
-        *single* vectorised pass through the grid engine
-        (:func:`repro.core.engine.solve_grid`) -- with the per-point
-        scalar path as the last rung if the engine raises. Semantics
-        match :meth:`run_batch`: per-point cache keys and per-point
-        :class:`BatchItem` records in request order.
+        A batch of tolerance-less :class:`SolveRequest` objects sharing
+        ``params`` and ``collateral`` -- so per-point cache keys match
+        :meth:`run_batch`'s -- with ``tolerance`` as every point's
+        surface grant: points the loaded surface certifies are
+        interpolated in microseconds, exact cache hits come next, and
+        the remainder is solved in one vectorised grid-engine pass
+        (:func:`repro.core.engine.solve_grid`), or per point by the
+        scalar rung below :data:`~repro.service.sources.ENGINE_MIN_POINTS`.
 
         ``tolerance=None`` uses the service-wide ``tolerance`` default;
         when neither grants an error budget -- or ``tolerance=0.0``
@@ -387,7 +249,16 @@ class SwapService:
             SolveRequest(pstar=float(pstar), collateral=collateral, params=params)
             for pstar in pstars
         ]
+        return self._answer(requests, tolerance)
 
+    def _answer(
+        self, requests: Sequence[Request], tolerance: Optional[float] = None
+    ) -> List[BatchItem]:
+        """Canonicalise, dedupe, run the chain, assemble the items.
+
+        A slot's surface grant is the request's own ``tolerance``, else
+        ``tolerance``, else the service default.
+        """
         registry = get_registry()
         registry.counter(
             "repro_batches_total", help="Batches served by SwapService."
@@ -403,43 +274,34 @@ class SwapService:
         slots: Dict[str, Slot] = {}
         for key, request in zip(keys, requests):
             if key not in slots:
-                slots[key] = Slot(key=key, request=request)
+                grant = getattr(request, "tolerance", None)
+                if grant is None:
+                    grant = tolerance if tolerance is not None else self._tolerance
+                slots[key] = Slot(key=key, request=request, tolerance=grant)
         registry.counter(
             "repro_batch_deduped_total",
             help="Requests collapsed onto an identical in-batch computation.",
         ).inc(len(requests) - len(slots))
 
-        context = SweepContext(
-            params=params,
-            collateral=collateral,
-            tolerance=(
-                tolerance if tolerance is not None else self._tolerance
-            ),
-        )
-        self._chain.run(list(slots.values()), context)
+        self._chain.run(list(slots.values()))
 
         items: List[BatchItem] = []
-        for key in keys:
+        for key, request in zip(keys, requests):
             slot = slots[key]
-            if isinstance(slot.outcome, ServiceError):
-                items.append(
-                    BatchItem(
-                        key=key,
-                        ok=False,
-                        error=ServiceErrorInfo.from_exception(slot.outcome),
-                        source=slot.source,
-                    )
-                )
-            else:
-                items.append(
-                    BatchItem(
-                        key=key,
-                        ok=True,
-                        value=slot.outcome,
-                        cached=slot.source == "cache",
-                        source=slot.source,
-                    )
-                )
+            failed = isinstance(slot.outcome, ServiceError)
+            item = BatchItem(
+                key=key,
+                ok=not failed,
+                value=None if failed else slot.outcome,
+                error=ServiceErrorInfo.from_exception(slot.outcome) if failed else None,
+                cached=slot.source == "cache",
+                source=slot.source,
+            )
+            if isinstance(request, SwapGraphRequest):
+                # counted here, in the serving process: solver-side
+                # metrics from pool workers never reach the exporter
+                observe_graph_request(item.source)
+            items.append(item)
         return items
 
     # ------------------------------------------------------------------ #

@@ -13,10 +13,11 @@ object. :class:`WorkerPool` maps it over a batch:
 
 Self-healing: a worker crash breaks the whole
 :class:`~concurrent.futures.ProcessPoolExecutor` -- every
-not-yet-returned future in the batch raises ``BrokenExecutor``, not
-just the request that killed the worker. Instead of cascading that
-one crash into a batch-wide failure, :meth:`WorkerPool.map` **rebuilds
-the pool and requeues the surviving requests**, each with a bounded
+not-yet-returned future in the batch raises ``BrokenExecutor`` (and
+so does every later ``submit``), not just the request that killed the
+worker. Instead of cascading that one crash into a batch-wide
+failure, :meth:`WorkerPool.map` **rebuilds the pool and requeues the
+surviving requests**, each with a bounded
 retry budget (``max_requeues``); only a request that keeps breaking
 the pool surfaces :class:`WorkerCrashedError` (retryable). Rebuilds
 are counted in ``repro_pool_rebuilds_total`` and
@@ -48,7 +49,7 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -332,12 +333,7 @@ class WorkerPool:
         try:
             while pending:
                 submitted = time.perf_counter()
-                futures = {
-                    index: pool.submit(
-                        _timed_execute, *jobs[index], self._job_fault(jobs[index][0])
-                    )
-                    for index in pending
-                }
+                futures = {index: self._submit(pool, jobs[index]) for index in pending}
                 requeue: List[int] = []
                 broken = False
                 for index, future in futures.items():
@@ -387,6 +383,20 @@ class WorkerPool:
             # worker; it is orphaned and reaped at interpreter exit
             pool.shutdown(wait=not timed_out, cancel_futures=timed_out)
         return out
+
+    def _submit(
+        self, pool: ProcessPoolExecutor, job: Tuple[Request, Optional[int]]
+    ) -> Future:
+        """``pool.submit`` of one job; a pool that an earlier job of the
+        same round already broke yields a failed future instead of
+        raising, so the job is requeued like any other broken one."""
+        fault = self._job_fault(job[0])
+        try:
+            return pool.submit(_timed_execute, *job, fault)
+        except BrokenExecutor as exc:
+            future: Future = Future()
+            future.set_exception(exc)
+            return future
 
     def _run_serial(
         self, request: Request, seed: Optional[int]

@@ -73,7 +73,7 @@ class SolveRequest:
     error at most ``tolerance`` instead of an exact solve.
     ``tolerance=0.0`` explicitly demands exactness; the default
     ``None`` is also exact unless the service was configured with a
-    service-wide ``surface_tolerance``.
+    service-wide ``tolerance``.
     """
 
     pstar: float

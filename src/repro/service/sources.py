@@ -1,25 +1,34 @@
-"""The pluggable answer-source chain behind ``SwapService.sweep``.
+"""The answer-source chain behind every ``SwapService`` entry point.
 
-A sweep shares one ``(params, collateral)`` across its whole ``P*``
-grid, which makes its answer path a clean ladder of explicit
-:class:`AnswerSource` objects, cheapest first::
+``run_batch``, ``sweep`` and the conveniences built on them all
+canonicalise and dedupe their requests into :class:`Slot` records and
+send them down one ladder of explicit :class:`AnswerSource` objects,
+cheapest first::
 
-    surface  -- certified interpolation off a precomputed artifact
-                (microseconds; only when the caller granted a
-                tolerance and the point is on-surface within bound)
+    surface  -- certified interpolation off a precomputed artifact: one
+                lookup per (params, collateral, tolerance) group of
+                tolerance-granted solves (microseconds; only points the
+                artifact certifies within the grant)
     cache    -- exact results from the two-tier cache
-    engine   -- one vectorised grid-engine pass for every remaining
-                point (exact; results are cached)
-    scalar   -- per-point backward induction through the worker pool
-                (exact; the last rung never refuses)
+    engine   -- one vectorised grid-engine pass per (params, collateral)
+                group of at least ``ENGINE_MIN_POINTS`` solves (exact;
+                results are cached)
+    scalar   -- everything left, per request through the worker pool:
+                small solve groups, validations, swap graphs and groups
+                the engine refused (exact; the last rung never refuses)
 
-Each source consumes the slots it can answer and passes the remainder
-down. Every tier *transition* is observable: a sweep that consulted
-the surface but had to fall through counts
-``repro_degraded_total{path="surface_to_engine"}``, and an engine
-failure counts ``repro_degraded_total{path="engine_to_scalar"}`` (the
-rung-two ladder of the chaos suite, unchanged). Surface hits land in
-the ``repro_surface_*`` families via the surface itself.
+The engine's group-size cut comes from measurement (1 CPU per process,
+median of 200): ``solve_grid`` costs 1.74/1.83/2.23/2.78 ms at
+n = 1/2/3/16 points, the scalar solve 0.77 ms per point, so one array
+pass wins from 3 points up. Single solves therefore stay scalar.
+
+Each source answers the slots it can and passes the rest down in
+request order. Every tier *transition* is observable: tolerance-granted
+solves that the surface could not certify count
+``repro_degraded_total{path="surface_to_engine"}``, and each engine
+group failure counts ``repro_degraded_total{path="engine_to_scalar"}``
+(its group then falls to the scalar rung). Surface hits land in the
+``repro_surface_*`` families via the surface itself.
 
 The chain is deliberately dumb plumbing: sources own *how* to answer,
 the chain owns only ordering and transition accounting, and
@@ -28,20 +37,20 @@ the chain owns only ordering and transition accounting, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Union
 
-from repro.core.parameters import SwapParameters
 from repro.obs.logging import get_logger
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import span
-from repro.service.errors import ServiceError
+from repro.service.errors import ServiceError, SolveFailedError
 from repro.service.executor import Result
+from repro.service.keys import canonical_payload, derive_seed
+from repro.service.requests import Request, SolveRequest, SwapGraphRequest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.cache import TieredCache
     from repro.service.executor import WorkerPool
-    from repro.service.requests import SolveRequest
     from repro.surface.interpolate import Surface
 
 __all__ = [
@@ -51,9 +60,12 @@ __all__ = [
     "EngineSource",
     "ScalarSource",
     "SourceChain",
-    "SweepContext",
     "Slot",
+    "ENGINE_MIN_POINTS",
 ]
+
+#: Smallest ``(params, collateral)`` group the engine solves in one pass.
+ENGINE_MIN_POINTS = 3
 
 
 def _degraded_counter():
@@ -66,43 +78,55 @@ def _degraded_counter():
 
 @dataclass
 class Slot:
-    """One unique request travelling down the chain."""
+    """One unique request travelling down the chain.
+
+    ``tolerance`` is the request's error grant, already resolved
+    against the service default. Approximation is opt-in: with no
+    grant (``None``) or an explicit demand for exactness (``0.0``) the
+    surface rung never sees the slot.
+    """
 
     key: str
-    request: "SolveRequest"
+    request: Request
+    tolerance: Optional[float] = None
     outcome: Optional[Union[Result, ServiceError]] = None
     source: Optional[str] = None
 
+    @property
+    def surface_eligible(self) -> bool:
+        return (
+            isinstance(self.request, SolveRequest)
+            and self.tolerance is not None
+            and self.tolerance > 0.0
+        )
 
-@dataclass
-class SweepContext:
-    """Shared state of one sweep's trip through the chain.
+    def settle(self, outcome: Union[Result, ServiceError], source: str) -> None:
+        self.outcome = outcome
+        self.source = source
 
-    ``tolerance`` is the sweep-level error grant, already resolved
-    against the service-wide default. Approximation is opt-in: with no
-    grant (``None``) or an explicit demand for exactness (``0.0``) the
-    surface rung is skipped without counting a transition.
-    """
 
-    params: SwapParameters
-    collateral: float = 0.0
-    tolerance: Optional[float] = None
-    surface_consulted: bool = field(default=False, init=False)
+def _groups(slots: Sequence[Slot], key: Callable[[Slot], tuple]) -> Dict[tuple, List[Slot]]:
+    """``slots`` grouped by ``key``, groups and members in request order."""
+    groups: Dict[tuple, List[Slot]] = {}
+    for slot in slots:
+        groups.setdefault(key(slot), []).append(slot)
+    return groups
+
+
+def _unanswered(slots: Sequence[Slot]) -> List[Slot]:
+    return [slot for slot in slots if slot.source is None]
 
 
 class AnswerSource:
     """One rung of the ladder.
 
-    ``answer`` fills ``outcome``/``source`` on the slots it can serve
-    and returns the rest, in order, for the next rung. Implementations
-    must never raise for a single bad point -- refusal is returning
-    the slot."""
+    ``answer`` settles the slots it can serve and returns the rest, in
+    order, for the next rung. Implementations must never raise for a
+    single bad request -- refusal is returning the slot."""
 
     name = "source"
 
-    def answer(
-        self, slots: Sequence[Slot], ctx: SweepContext
-    ) -> List[Slot]:
+    def answer(self, slots: Sequence[Slot]) -> List[Slot]:
         raise NotImplementedError
 
 
@@ -114,26 +138,25 @@ class SurfaceSource(AnswerSource):
     def __init__(self, surface: "Surface") -> None:
         self.surface = surface
 
-    def answer(self, slots, ctx):
-        if ctx.tolerance is None or ctx.tolerance <= 0.0:
-            return list(slots)  # no error grant; not consulted
-        ctx.surface_consulted = True
+    def answer(self, slots):
+        eligible = [slot for slot in slots if slot.surface_eligible]
+        groups = _groups(
+            eligible,
+            lambda s: (s.request.params, s.request.collateral, s.tolerance),
+        )
         with span("batch.surface_lookup"):
-            lookup = self.surface.lookup(
-                ctx.params,
-                [slot.request.pstar for slot in slots],
-                collateral=ctx.collateral,
-                tolerance=ctx.tolerance,
-            )
-        leftover: List[Slot] = []
-        for i, slot in enumerate(slots):
-            answer = lookup.answer_at(i)
-            if answer is None:
-                leftover.append(slot)
-            else:
-                slot.outcome = answer
-                slot.source = self.name
-        return leftover
+            for (params, collateral, tolerance), group in groups.items():
+                lookup = self.surface.lookup(
+                    params,
+                    [slot.request.pstar for slot in group],
+                    collateral=collateral,
+                    tolerance=tolerance,
+                )
+                for i, slot in enumerate(group):
+                    answer = lookup.answer_at(i)
+                    if answer is not None:
+                        slot.settle(answer, self.name)
+        return _unanswered(slots)
 
 
 class CacheSource(AnswerSource):
@@ -144,25 +167,23 @@ class CacheSource(AnswerSource):
     def __init__(self, cache: "TieredCache") -> None:
         self.cache = cache
 
-    def answer(self, slots, ctx):
-        leftover: List[Slot] = []
+    def answer(self, slots):
         with span("batch.cache_lookup"):
             for slot in slots:
                 hit = self.cache.get(slot.key)
-                if hit is None:
-                    leftover.append(slot)
-                else:
-                    slot.outcome = hit
-                    slot.source = self.name
-        return leftover
+                if hit is not None:
+                    slot.settle(hit, self.name)
+        return _unanswered(slots)
 
 
 class EngineSource(AnswerSource):
-    """One vectorised grid-engine pass over every remaining point.
+    """One vectorised grid-engine pass per large-enough solve group.
 
-    On engine failure the source logs, counts
+    Solves are grouped by ``(params, collateral)``; groups smaller than
+    :data:`ENGINE_MIN_POINTS` fall through untouched. On a group's
+    failure the source logs, counts
     ``repro_degraded_total{path="engine_to_scalar"}`` once, and passes
-    *all* its slots down -- the scalar rung answers them exactly.
+    that group down -- the scalar rung answers it exactly.
     """
 
     name = "engine"
@@ -171,61 +192,90 @@ class EngineSource(AnswerSource):
         self.cache = cache
         self.injector = injector
 
-    def answer(self, slots, ctx):
+    def answer(self, slots):
         from repro.core.engine import solve_grid
 
-        try:
-            with span("batch.execute"):
-                if self.injector.enabled and self.injector.fires(
-                    "engine_error", f"sweep:{len(slots)}"
-                ):
-                    raise RuntimeError("injected engine_error")
-                grid = solve_grid(
-                    ctx.params,
-                    [slot.request.pstar for slot in slots],
-                    collateral=ctx.collateral,
+        solves = [s for s in slots if isinstance(s.request, SolveRequest)]
+        groups = _groups(
+            solves, lambda s: (s.request.params, s.request.collateral)
+        )
+        for (params, collateral), group in groups.items():
+            if len(group) < ENGINE_MIN_POINTS:
+                continue
+            try:
+                with span("batch.execute"):
+                    if self.injector.enabled and self.injector.fires(
+                        "engine_error", f"sweep:{len(group)}"
+                    ):
+                        raise RuntimeError("injected engine_error")
+                    grid = solve_grid(
+                        params,
+                        [slot.request.pstar for slot in group],
+                        collateral=collateral,
+                    )
+            except Exception as exc:
+                _degraded_counter().inc(path="engine_to_scalar")
+                get_logger().log(
+                    "sweep_degraded",
+                    path="engine_to_scalar",
+                    error=f"{exc.__class__.__name__}: {exc}",
+                    points=len(group),
                 )
-        except Exception as exc:
-            _degraded_counter().inc(path="engine_to_scalar")
-            get_logger().log(
-                "sweep_degraded",
-                path="engine_to_scalar",
-                error=f"{exc.__class__.__name__}: {exc}",
-                points=len(slots),
-            )
-            return list(slots)
-        for i, slot in enumerate(slots):
-            equilibrium = grid.equilibrium_at(i)
-            slot.outcome = equilibrium
-            slot.source = self.name
-            self.cache.put(slot.key, equilibrium)
-        return []
+                continue
+            for i, slot in enumerate(group):
+                equilibrium = grid.equilibrium_at(i)
+                slot.settle(equilibrium, self.name)
+                self.cache.put(slot.key, equilibrium)
+        return _unanswered(slots)
 
 
 class ScalarSource(AnswerSource):
-    """Per-point backward induction through the worker pool.
+    """Per-request execution through the worker pool.
 
     The last rung: answers everything, with a value or a typed error
-    per slot. Successful solves are cached like any exact result.
+    per slot. Validation and swap-graph seeds are resolved here, before
+    dispatch -- the request's own, else one derived from its key -- so
+    pooled runs draw exactly the serial run's paths. The swap-graph
+    chaos hooks (``swapgraph_error``/``swapgraph_slow``) are decided
+    here too, in the dispatching process. Successful results are cached
+    like any exact result.
     """
 
     name = "scalar"
 
-    def __init__(self, pool: "WorkerPool", cache: "TieredCache") -> None:
+    def __init__(self, pool: "WorkerPool", cache: "TieredCache", injector) -> None:
         self.pool = pool
         self.cache = cache
+        self.injector = injector
 
-    def answer(self, slots, ctx):
+    def answer(self, slots):
+        jobs: List[Slot] = []
+        for slot in slots:
+            if isinstance(slot.request, SwapGraphRequest) and self.injector.enabled:
+                payload = canonical_payload(slot.request)
+                if self.injector.fires("swapgraph_error", payload):
+                    slot.settle(
+                        SolveFailedError("injected swapgraph_error"), self.name
+                    )
+                    continue
+                self.injector.sleep("swapgraph_slow", payload)
+            jobs.append(slot)
         with span("batch.execute"):
             outcomes = self.pool.map(
-                [(slot.request, None) for slot in slots]
+                [(slot.request, self._seed(slot)) for slot in jobs]
             )
-        for slot, outcome in zip(slots, outcomes):
-            slot.outcome = outcome
-            slot.source = self.name
+        for slot, outcome in zip(jobs, outcomes):
+            slot.settle(outcome, self.name)
             if not isinstance(outcome, ServiceError):
                 self.cache.put(slot.key, outcome)
         return []
+
+    @staticmethod
+    def _seed(slot: Slot) -> Optional[int]:
+        request = slot.request
+        if isinstance(request, SolveRequest):
+            return None
+        return request.seed if request.seed is not None else derive_seed(slot.key)
 
 
 class SourceChain:
@@ -249,26 +299,29 @@ class SourceChain:
             [
                 CacheSource(cache),
                 EngineSource(cache, injector),
-                ScalarSource(pool, cache),
+                ScalarSource(pool, cache, injector),
             ]
         )
         return SourceChain(sources)
 
-    def run(self, slots: Sequence[Slot], ctx: SweepContext) -> None:
+    def run(self, slots: Sequence[Slot]) -> None:
         """Send ``slots`` down the ladder until every one is answered."""
         pending: List[Slot] = list(slots)
         for source in self.sources:
             if not pending:
                 break
-            pending = source.answer(pending, ctx)
-        if ctx.surface_consulted:
-            fell_through = sum(
-                1 for slot in slots if slot.source not in (None, "surface")
+            pending = source.answer(pending)
+        if not any(isinstance(source, SurfaceSource) for source in self.sources):
+            return
+        fell_through = sum(
+            1
+            for slot in slots
+            if slot.surface_eligible and slot.source != SurfaceSource.name
+        )
+        if fell_through:
+            _degraded_counter().inc(path="surface_to_engine")
+            get_logger().log(
+                "surface_fell_through",
+                path="surface_to_engine",
+                points=fell_through,
             )
-            if fell_through:
-                _degraded_counter().inc(path="surface_to_engine")
-                get_logger().log(
-                    "surface_fell_through",
-                    path="surface_to_engine",
-                    points=fell_through,
-                )

@@ -96,7 +96,7 @@ class TestSweepWithSurface:
             ],
         )
         assert result["engine"] == "chain"
-        assert result["sources"] == ["surface", "surface", "engine"]
+        assert result["sources"] == ["surface", "surface", "scalar"]
         assert result["tolerance"] == pytest.approx(1e-2)
 
     def test_agrees_with_the_exact_engine_within_tolerance(
@@ -122,7 +122,7 @@ class TestSweepWithSurface:
                 "--json",
             ],
         )
-        assert result["sources"] == ["engine"]
+        assert result["sources"] == ["scalar"]
 
     def test_legacy_and_surface_are_exclusive(self, capsys, artifact):
         code = main(

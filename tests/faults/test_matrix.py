@@ -13,12 +13,21 @@ import time
 
 import pytest
 
+from repro.core.parameters import SwapParameters
+from repro.core.solver import solve_swap_game
 from repro.faults import FAULT_KINDS, FaultSpec, InjectionPlan
 from repro.service.api import SwapService
 from repro.service.requests import SolveRequest
 from tests.faults.conftest import counter_value
 
 PSTARS = [1.8, 2.0, 2.2]
+# pairwise-distinct params keep every batch solve a group of one, which
+# the answer chain sends to the scalar rung -- through the worker pool
+# and the cache, where the service fault kinds strike
+PARAMS = {
+    pstar: SwapParameters.default().replace(sigma=0.1 + 0.01 * i)
+    for i, pstar in enumerate(PSTARS)
+}
 WALL_BUDGET = 60.0  # generous; a hang would blow far past this
 
 # every fault kind the service layer can meet on the batch path; the
@@ -35,11 +44,15 @@ SERVICE_KINDS = (
 
 @pytest.fixture(scope="module")
 def baseline():
-    service = SwapService(max_workers=1)
-    items = service.run_batch([SolveRequest(pstar=pstar) for pstar in PSTARS])
+    """Fault-free success rates, from the scalar solver the pool runs."""
     return {
-        pstar: item.unwrap().success_rate for pstar, item in zip(PSTARS, items)
+        pstar: solve_swap_game(PARAMS[pstar], pstar).success_rate
+        for pstar in PSTARS
     }
+
+
+def solve_requests():
+    return [SolveRequest(pstar=p, params=PARAMS[p]) for p in PSTARS]
 
 
 def assert_invariant(items, baseline):
@@ -65,8 +78,8 @@ class TestServiceMatrix:
         )
         started = time.perf_counter()
         # two passes: the second must heal anything the first broke
-        first = service.run_batch([SolveRequest(pstar=p) for p in PSTARS])
-        second = service.run_batch([SolveRequest(pstar=p) for p in PSTARS])
+        first = service.run_batch(solve_requests())
+        second = service.run_batch(solve_requests())
         assert time.perf_counter() - started < WALL_BUDGET
         assert_invariant(first, baseline)
         assert_invariant(second, baseline)
@@ -81,7 +94,7 @@ class TestServiceMatrix:
         service = SwapService(
             max_workers=1, cache_dir=str(tmp_path), faults=plan
         )
-        service.run_batch([SolveRequest(pstar=p) for p in PSTARS])
+        service.run_batch(solve_requests())
         assert service.faults.injected_total(kind) == 1
         assert (
             counter_value(registry, "repro_fault_injected_total", kind=kind) == 1
@@ -110,18 +123,20 @@ class TestServiceMatrix:
 
 
 class TestDegradationLadder:
-    def test_engine_error_falls_back_to_scalar_with_metrics(
-        self, registry, baseline
-    ):
+    def test_engine_error_falls_back_to_scalar_with_metrics(self, registry):
         plan = InjectionPlan(
             faults=(FaultSpec(kind="engine_error", count=1),), seed=0
         )
         service = SwapService(max_workers=1, faults=plan)
         items = service.sweep(PSTARS)
         # the degraded path answers everything, scalar-exact
-        assert all(item.ok for item in items)
+        assert all(item.ok and item.source == "scalar" for item in items)
+        params = SwapParameters.default()
         for pstar, item in zip(PSTARS, items):
-            assert item.value.success_rate == baseline[pstar]
+            assert (
+                item.value.success_rate
+                == solve_swap_game(params, pstar).success_rate
+            )
         assert (
             counter_value(
                 registry, "repro_degraded_total", path="engine_to_scalar"

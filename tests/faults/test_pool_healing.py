@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.parameters import SwapParameters
+from repro.core.solver import solve_swap_game
 from repro.faults import FaultSpec, InjectionPlan
 from repro.service.api import SwapService
 from repro.service.errors import ServiceError, WorkerCrashedError
@@ -18,20 +20,25 @@ from repro.service.requests import SolveRequest
 from tests.faults.conftest import counter_value
 
 PSTARS = [1.8, 2.0, 2.2, 2.4]
+# pairwise-distinct params keep every solve a group of one, which the
+# answer chain sends to the scalar rung -- through the worker pool
+PARAMS = {
+    pstar: SwapParameters.default().replace(sigma=0.1 + 0.01 * i)
+    for i, pstar in enumerate(PSTARS)
+}
 
 
 @pytest.fixture(scope="module")
 def baseline():
-    """Fault-free success rates (scalar path, the one run_batch uses)."""
-    service = SwapService(max_workers=1)
-    items = service.run_batch([SolveRequest(pstar=pstar) for pstar in PSTARS])
+    """Fault-free success rates, from the scalar solver the pool runs."""
     return {
-        pstar: item.unwrap().success_rate for pstar, item in zip(PSTARS, items)
+        pstar: solve_swap_game(PARAMS[pstar], pstar).success_rate
+        for pstar in PSTARS
     }
 
 
 def solve_requests():
-    return [SolveRequest(pstar=pstar) for pstar in PSTARS]
+    return [SolveRequest(pstar=pstar, params=PARAMS[pstar]) for pstar in PSTARS]
 
 
 class TestPooledCrashHealing:
@@ -84,6 +91,64 @@ class TestPooledCrashHealing:
 
         request = SolveRequest(pstar=2.2)
         assert '"pstar":2.2' in canonical_payload(request)
+
+
+class _SubmitBreaksPool:
+    """A stand-in ``ProcessPoolExecutor`` that runs jobs inline, except
+    that the submits numbered in ``broken`` (counted across every
+    instance) raise ``BrokenProcessPool``, as submitting to a pool an
+    earlier job of the same round crashed does."""
+
+    def __init__(self, broken):
+        self.broken = broken
+        self.calls = 0
+
+    def __call__(self, max_workers):
+        return self
+
+    def submit(self, fn, *args):
+        from concurrent.futures import Future
+        from concurrent.futures.process import BrokenProcessPool
+
+        self.calls += 1
+        if self.calls in self.broken:
+            raise BrokenProcessPool("a child process terminated abruptly")
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+class TestSubmitOnBrokenPool:
+    def test_failed_submit_is_requeued(self, registry, baseline, monkeypatch):
+        import repro.service.executor as executor_module
+
+        monkeypatch.setattr(
+            executor_module, "ProcessPoolExecutor", _SubmitBreaksPool({2})
+        )
+        outcomes = WorkerPool(max_workers=2).map(
+            [(request, None) for request in solve_requests()]
+        )
+        for pstar, outcome in zip(PSTARS, outcomes):
+            assert outcome.success_rate == baseline[pstar]
+        assert counter_value(registry, "repro_pool_rebuilds_total") == 1
+
+    def test_failed_submits_exhaust_the_budget_typed(self, registry, monkeypatch):
+        import repro.service.executor as executor_module
+
+        # the 2nd job's submit fails in round one and its requeue too
+        monkeypatch.setattr(
+            executor_module, "ProcessPoolExecutor", _SubmitBreaksPool({2, 5})
+        )
+        outcomes = WorkerPool(max_workers=2, max_requeues=1).map(
+            [(request, None) for request in solve_requests()]
+        )
+        assert isinstance(outcomes[1], WorkerCrashedError)
+        assert outcomes[1].retryable
+        assert "2 attempts" in str(outcomes[1])
+        assert all(not isinstance(out, ServiceError) for out in outcomes[:1] + outcomes[2:])
 
 
 class TestSerialFaults:

@@ -24,10 +24,20 @@ def _solve_requests(params, pstars):
     return [SolveRequest(pstar=p, params=params) for p in pstars]
 
 
+def _pooled_solves(params, pstars):
+    """Solves the answer chain sends to the worker pool: each distinct
+    P* carries its own params, so no group is large enough for the
+    grid engine."""
+    return [
+        SolveRequest(pstar=p, params=params.replace(sigma=params.sigma + p / 100))
+        for p in pstars
+    ]
+
+
 class TestServiceInstrumentation:
     def test_batch_populates_expected_families(self, registry, params):
         service = SwapService(max_workers=1)
-        service.run_batch(_solve_requests(params, [1.9, 2.0, 2.0, 2.1]))
+        service.run_batch(_pooled_solves(params, [1.9, 2.0, 2.0, 2.1]))
         snap = registry.snapshot()
         for family in (
             "repro_batches_total",
@@ -47,7 +57,7 @@ class TestServiceInstrumentation:
     def test_batch_counter_arithmetic(self, registry, params):
         service = SwapService(max_workers=1)
         # 4 requests, one in-batch duplicate -> 3 unique solves
-        service.run_batch(_solve_requests(params, [1.9, 2.0, 2.0, 2.1]))
+        service.run_batch(_pooled_solves(params, [1.9, 2.0, 2.0, 2.1]))
         counters = registry.counter("repro_batch_requests_total")
         assert counters.value() == 4
         assert registry.counter("repro_batch_deduped_total").value() == 1

@@ -79,15 +79,15 @@ class TestSweepOverTheWire:
             surface_server, "/v1/sweep?pstars=3.5&tolerance=1e-2"
         )
         point = body["results"][0]
-        assert point["source"] == "engine"
+        assert point["source"] == "scalar"
         assert "bound" not in point  # exact answers carry no bound
 
     def test_no_tolerance_means_exact_despite_config_default(self, make_server, artifact_path):
-        # config surface_tolerance applies; the default config (None)
-        # keeps tolerance-less sweeps exact even with a surface loaded
+        # config tolerance applies; the default config (None) keeps
+        # tolerance-less sweeps exact even with a surface loaded
         server = make_server(surface=artifact_path)
         point = get_json(server, "/v1/sweep?pstars=2.0")["results"][0]
-        assert point["source"] == "engine"
+        assert point["source"] == "scalar"
 
     def test_config_tolerance_is_the_default_grant(self, surface_server):
         point = get_json(surface_server, "/v1/sweep?pstars=2.0")["results"][0]
@@ -97,7 +97,7 @@ class TestSweepOverTheWire:
         point = get_json(
             surface_server, "/v1/sweep?pstars=2.0&tolerance=0"
         )["results"][0]
-        assert point["source"] == "engine"
+        assert point["source"] == "scalar"
 
     def test_surface_metrics_visible_on_metrics_endpoint(self, surface_server):
         get_json(surface_server, "/v1/sweep?pstars=2.0&tolerance=1e-2")

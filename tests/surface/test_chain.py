@@ -50,8 +50,9 @@ class TestSweepRouting:
         self, registry, service
     ):
         # 1.7 and 2.0 sit on the surface; 3.5 is beyond the pstar axis
+        # and, a group of one, falls to the scalar rung
         items = service.sweep([1.7, 2.0, 3.5])
-        assert [item.source for item in items] == ["surface", "surface", "engine"]
+        assert [item.source for item in items] == ["surface", "surface", "scalar"]
         assert all(item.ok for item in items)
         assert counter_value(registry, "repro_surface_hits_total") == 2
         assert (
@@ -73,7 +74,7 @@ class TestSweepRouting:
 
     def test_tolerance_zero_demands_exactness(self, registry, service):
         items = service.sweep([1.8, 2.0], tolerance=0.0)
-        assert {item.source for item in items} == {"engine"}
+        assert {item.source for item in items} == {"scalar"}
         # not consulted at all: no transition, no surface traffic
         assert (
             counter_value(
@@ -102,7 +103,7 @@ class TestSweepRouting:
     ):
         service = SwapService(surface=metered_surface)  # no tolerance grant
         items = service.sweep([2.0])
-        assert items[0].source == "engine"
+        assert items[0].source == "scalar"
 
     def test_surface_answers_never_enter_the_cache(self, registry, service):
         first = service.sweep([2.0])
@@ -111,12 +112,12 @@ class TestSweepRouting:
         again = service.sweep([2.0])
         assert again[0].source == "surface"
         # and demanding exactness finds no cached approximation: the
-        # answer must come from the engine, not a cache hit
+        # answer must come from a solver, not a cache hit
         exact = service.sweep([2.0], tolerance=0.0)
-        assert exact[0].source == "engine"
+        assert exact[0].source == "scalar"
 
     def test_exact_results_still_cache_behind_the_surface(self, service):
-        service.sweep([3.5])  # engine answer, cached
+        service.sweep([3.5])  # scalar answer, cached
         assert service.sweep([3.5])[0].source == "cache"
 
     def test_success_rate_convenience_rides_the_chain(self, service):
@@ -155,6 +156,14 @@ class TestBatchRouting:
             )
             == 1
         )
+
+    def test_one_lookup_per_surface_group(self, registry, service):
+        requests = [SolveRequest(pstar=p, tolerance=1e-2) for p in (1.8, 2.0, 2.2)]
+        requests.append(SolveRequest(pstar=2.0, tolerance=5e-3))
+        items = service.run_batch(requests)
+        assert {item.source for item in items} == {"surface"}
+        lookups = registry.histogram("repro_surface_lookup_seconds")
+        assert lookups.count() == 2  # one per (params, Q, tolerance)
 
 
 class TestStatsSurfacing:

@@ -55,7 +55,7 @@ class TestSurfaceCorrupt:
             == 1
         )
         items = service.sweep([2.0])  # still answers, exactly
-        assert items[0].ok and items[0].source == "engine"
+        assert items[0].ok and items[0].source == "scalar"
 
 
 class TestSurfaceIoError:

@@ -130,6 +130,19 @@ class TestFaults:
         healed = service.run_batch([cycle_request()])[0]
         assert healed.ok
 
+    def test_injected_error_is_not_counted_as_deduped(self):
+        from repro.faults.plan import InjectionPlan
+        from repro.obs.metrics import Registry, use_registry
+
+        plan = InjectionPlan.from_dict(
+            {"seed": 1, "faults": [{"kind": "swapgraph_error", "count": 1}]}
+        )
+        registry = Registry()
+        with use_registry(registry):
+            item = SwapService(faults=plan).run_batch([cycle_request()])[0]
+        assert not item.ok
+        assert registry.counter("repro_batch_deduped_total").value() == 0
+
     def test_swapgraph_slow_hook(self):
         from repro.faults.plan import InjectionPlan
 
