@@ -1,4 +1,4 @@
-"""Benchmark S6: the sharded asyncio tier under closed-loop load.
+"""Benchmark S6: the sharded tier under closed-loop load.
 
 Not a paper artifact -- this prices the serving topology. A
 closed-loop harness (N worker threads, each with its own keep-alive
@@ -6,10 +6,10 @@ connection, each firing its next request the instant the previous one
 answers) drives warm single solves through three stacks:
 
 * the S2 methodology (serial client, a fresh connection per request)
-  against the threaded server -- the recorded baseline's twin;
-* a keep-alive closed loop against the threaded server;
+  against a single local-role server -- the recorded baseline's twin;
+* a keep-alive closed loop against the single server;
 * the same closed loop against the real sharded tier
-  (``serve --replicas 2``: asyncio router + replica subprocesses).
+  (``serve --replicas 2``: router + replica subprocesses).
 
 The acceptance floor encodes the PR target: the sharded tier must
 sustain at least **5x the S2 bench's recorded single-solve floor**
@@ -17,8 +17,8 @@ sustain at least **5x the S2 bench's recorded single-solve floor**
 S2-methodology baseline outright, and keep p99 bounded under
 admission. On this 1-CPU container the shards cannot multiply
 *compute* -- the headline win is the serving path itself (keep-alive
-without the 40 ms Nagle/delayed-ACK stall the threaded stack used to
-hit, admission intact, failover for free); on a multi-core box the
+without the 40 ms Nagle/delayed-ACK stall the former thread-per-
+connection stack used to hit, admission intact, failover for free); on a multi-core box the
 replicas scale the solve capacity too.
 
 Under ``REPRO_BENCH_SMOKE=1`` the timing floors are skipped and the
@@ -127,26 +127,26 @@ def _fmt(label: str, rps: float, p50: float, p99: float) -> str:
 
 def test_sharded_closed_loop_throughput():
     config = dict(workers=4, queue_depth=64)
-    threaded = SwapServer(ServerConfig(port=0, **config)).start()
+    single = SwapServer(ServerConfig(port=0, **config)).start()
     router = RouterServer(
         ServerConfig(port=0, replicas=2, **config)
     )
     try:
         router.start()
-        _warm(threaded.port)
+        _warm(single.port)
         _warm(router.port)
 
         # the S2 methodology: serial, fresh connection per request
         serial_client = SwapClient(
-            f"http://127.0.0.1:{threaded.port}", timeout=60.0
+            f"http://127.0.0.1:{single.port}", timeout=60.0
         )
         t0 = time.perf_counter()
         for i in range(SERIAL_ROUNDS):
             serial_client.solve(pstar=WARM_PSTARS[i % len(WARM_PSTARS)])
         serial_rps = SERIAL_ROUNDS / (time.perf_counter() - t0)
 
-        threaded_rps, threaded_p50, threaded_p99 = closed_loop(
-            threaded.port, CONCURRENCY, ROUNDS_PER_WORKER
+        single_rps, single_p50, single_p99 = closed_loop(
+            single.port, CONCURRENCY, ROUNDS_PER_WORKER
         )
         sharded_rps, sharded_p50, sharded_p99 = closed_loop(
             router.port, CONCURRENCY, ROUNDS_PER_WORKER
@@ -170,10 +170,10 @@ def test_sharded_closed_loop_throughput():
                 [
                     f"serial urllib (S2 methodology): {serial_rps:.0f} req/s",
                     _fmt(
-                        f"threaded  keep-alive c={CONCURRENCY}",
-                        threaded_rps,
-                        threaded_p50,
-                        threaded_p99,
+                        f"single    keep-alive c={CONCURRENCY}",
+                        single_rps,
+                        single_p50,
+                        single_p99,
                     ),
                     _fmt(
                         f"sharded x2 keep-alive c={CONCURRENCY}",
@@ -196,7 +196,7 @@ def test_sharded_closed_loop_throughput():
             assert sharded_p99 < 0.1
     finally:
         router.shutdown(drain=False)
-        threaded.shutdown(drain=False)
+        single.shutdown(drain=False)
 
 
 def test_sharded_failover_costs_one_reroute_not_an_outage():

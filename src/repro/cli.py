@@ -49,10 +49,10 @@ parsed as JSON.
 gracefully; ``--queue-depth`` bounds concurrent admission, and the
 batch flags (``--workers``, ``--cache-dir``, ``--cache-entries``,
 ``--metrics-out``) configure the service behind it. ``--replicas N``
-swaps in the sharded topology (:mod:`repro.server.aio`): an asyncio
-router on the bind port consistent-hashing each request's canonical
-key across N replica subprocesses, so every shard's cache stays hot
-for its keyslice.
+swaps in the sharded topology (:mod:`repro.server.aio`): the same
+event-loop front end as a router on the bind port, consistent-hashing
+each request's canonical key across N replica subprocesses, so every
+shard's cache stays hot for its keyslice.
 
 ``graph`` solves a multi-party / packetized swap graph
 (:mod:`repro.swapgraph`) as an extensive-form game: ``--parties N``
@@ -508,8 +508,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--replicas",
         type=int,
         default=0,
-        help="shard across N replica subprocesses behind an asyncio "
-        "router (0 = the single threaded server)",
+        help="shard across N replica subprocesses behind a router "
+        "(0 = one server answering from its own service)",
     )
     serve.add_argument(
         "--queue-depth",

@@ -12,13 +12,18 @@ retry discipline. The pieces:
 * :mod:`repro.server.wire` -- error envelopes and the code -> HTTP
   status mapping;
 * :mod:`repro.server.metrics` -- the ``repro_http_*`` instrument set;
-* :mod:`repro.server.app` -- :class:`SwapServer` (routes, admission,
-  drain) and the blocking :func:`serve` loop;
-* :mod:`repro.server.router` / :mod:`repro.server.replica` /
-  :mod:`repro.server.aio` -- the sharded tier behind
-  ``serve --replicas N``: consistent-hash routing keys, replica
-  subprocess management, and the asyncio router front end
-  (:class:`RouterServer`, :func:`serve_sharded`);
+* :mod:`repro.server.overload` -- :class:`CostAwareGate`, cost-aware
+  admission with CoDel-style shedding;
+* :mod:`repro.server.aio` -- the one HTTP front end: an asyncio event
+  loop running one request pipeline (parse, limits, drain, admission,
+  envelope, metrics) for either role, plus the proxy role
+  :class:`RouterServer` behind ``serve --replicas N``;
+* :mod:`repro.server.app` -- the local role :class:`SwapServer` (a
+  :class:`~repro.service.api.SwapService` backend) and the blocking
+  :func:`serve` loop that runs either role;
+* :mod:`repro.server.router` / :mod:`repro.server.replica` -- the
+  sharded tier's consistent-hash routing keys and replica subprocess
+  management;
 * :mod:`repro.server.client` -- :class:`SwapClient` with capped
   exponential backoff + full jitter, retrying only on ``429``/``503``/
   retryable envelopes;
@@ -39,8 +44,8 @@ Quickstart::
 or, from a shell: ``repro-swaps serve --port 8100``.
 """
 
-from repro.server.aio import RouterServer, serve_sharded
-from repro.server.app import AdmissionGate, SwapServer, serve
+from repro.server.aio import RouterServer
+from repro.server.app import SwapServer, serve
 from repro.server.circuit import CircuitBreaker
 from repro.server.client import (
     CircuitOpenError,
@@ -66,9 +71,7 @@ __all__ = [
     "ServerConfig",
     "SwapServer",
     "serve",
-    "serve_sharded",
     "RouterServer",
-    "AdmissionGate",
     "CostAwareGate",
     "route_weight",
     "ReplicaSupervisor",

@@ -1,22 +1,66 @@
-"""The sharded asyncio front end: one event loop, N replica processes.
+"""The event-loop HTTP front end: one request pipeline, two roles.
 
-``repro-swaps serve --replicas N`` swaps the single threaded server
-for this topology::
+Every ``repro-swaps serve`` process answers HTTP through
+:class:`_FrontEnd`: one asyncio event loop on a dedicated thread that
+reads each HTTP/1.1 request non-blockingly and runs it through one
+pipeline::
 
-                        +-> replica-0 (SwapServer, own cache/surface)
+    read -> parse -> ops routes -> body limits -> drain -> admission
+         -> backend -> envelope -> repro_http_* + http_access
+
+Two roles plug into it, and differ only in the backend call, the
+``/readyz`` and ``/version`` documents, and the proxy role's control
+plane:
+
+* the **local role** (:class:`~repro.server.app.SwapServer`) answers
+  from an in-process :class:`~repro.service.api.SwapService`. It is
+  what ``serve`` runs without ``--replicas``, and what every replica
+  subprocess runs;
+* the **proxy role** (:class:`RouterServer`) is ``serve --replicas N``::
+
+                        +-> replica-0 (local role, own cache/surface)
     clients --> router -+-> replica-1
-      (asyncio, 1 loop) +-> ...
+                        +-> ...
 
-The router owns the listen socket and does no solving: it parses each
-HTTP/1.1 request non-blockingly, applies the same bounded admission
-gate as the threaded server (:class:`~repro.server.app.AdmissionGate`),
-derives the request's canonical routing key
-(:func:`~repro.server.router.routing_key`) and proxies the raw bytes
-to the replica owning that keyslice on a consistent-hash ring
+The pipeline enforces the production behaviours for both roles:
+
+* **admission** -- at most ``queue_depth`` solve-units of API work run
+  at once (:class:`~repro.server.overload.CostAwareGate`); excess load
+  is shed immediately with ``429`` + ``Retry-After``, while the
+  operational routes bypass the gate so probes never starve;
+* **limits** -- bodies over ``max_body_bytes`` get ``413`` without
+  being read; work still running at ``deadline`` seconds is answered
+  ``504`` (the envelope is ``retryable``);
+* **graceful drain** -- ``shutdown()`` (wired to SIGTERM/SIGINT by
+  :func:`repro.server.app.serve`) stops accepting, answers new API
+  requests ``503 draining``, waits up to ``drain_timeout`` for
+  in-flight requests, then flushes metrics to ``metrics_out``;
+* **observability** -- every response lands in ``repro_http_*``
+  (:mod:`repro.server.metrics`) and emits one structured
+  ``http_access`` event naming the peer.
+
+Every rejection either role originates is built from the typed
+constructors of :mod:`repro.server.wire`, so both roles answer with the
+same bytes by construction. The pipeline's framing rules:
+
+* a malformed head -- an unparseable request line, whitespace before a
+  header colon (RFC 9112 §5.1), conflicting ``Content-Length`` values
+  (§6.3) -- is answered ``400 invalid_request``, a head over 64 KiB
+  ``431 header_too_large``, and the connection closes;
+* every head and body read is bounded by :data:`READ_TIMEOUT` (idle
+  keep-alives included), so a stalled client cannot hold a socket;
+* a request whose body was not read, or that asked for
+  ``Connection: close``, is answered with ``Connection: close`` and the
+  socket closes.
+
+The proxy role does no solving. It derives each request's canonical
+routing key (:func:`~repro.server.router.routing_key`) and proxies the
+raw bytes to the replica owning that keyslice on a consistent-hash ring
 (:class:`~repro.server.router.HashRing`). Identical requests therefore
 always land on the same shard, so every shard's two-tier cache and
 surface stay hot for *its* slice of the keyspace -- adding shards
-multiplies cache capacity instead of diluting it.
+multiplies cache capacity instead of diluting it. Replies are relayed
+verbatim; replica connections are pooled and kept alive.
 
 Failure handling is ring-order failover: a replica that refuses a
 connection, breaks mid-proxy, or is declared dead by the
@@ -37,39 +81,26 @@ readmits it. Every probe result lands in
 ``fail``, ``eject`` and ``readmit``. The passive breaker stays on
 regardless -- probes catch replicas that die *between* requests,
 breakers catch ones that fail *during* them.
-
-Byte parity with the threaded server is a design invariant, not an
-aspiration: on-path requests are answered by an unmodified
-:class:`~repro.server.app.SwapServer` and relayed verbatim, and every
-router-originated rejection (413/429/503/504, bad routes, bad bodies)
-is built from the same typed constructors in
-:mod:`repro.server.wire` with the same config values -- the parity
-suite compares the two front ends response-for-response.
-
-Everything is stdlib: ``asyncio.start_server`` for the acceptor,
-blocking work (there is none beyond proxying) never touches the loop,
-and replica connections are pooled and kept alive so a warm request
-costs one read/write pair per side.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import os
-import signal
+import re
 import threading
 import time
+import traceback
 from collections import OrderedDict
 from hashlib import blake2b
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Awaitable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 from urllib.parse import urlsplit
 
+from repro import __version__
 from repro.faults.injector import NULL_INJECTOR, build_injector
 from repro.obs.exporters import to_prometheus_text, write_metrics
 from repro.obs.logging import get_logger
 from repro.obs.metrics import get_registry
-from repro.server.app import _API_ROUTES, _KNOWN_PATHS
 from repro.server.circuit import CircuitBreaker
 from repro.server.config import ServerConfig
 from repro.server.metrics import HTTPMetrics, RouterMetrics, SupervisorMetrics
@@ -85,6 +116,8 @@ from repro.server.wire import (
     deadline_message,
     draining_error,
     envelope_bytes,
+    header_too_large_error,
+    malformed_head_error,
     malformed_length_error,
     method_not_allowed_error,
     missing_length_error,
@@ -93,20 +126,37 @@ from repro.server.wire import (
     queue_full_error,
     unauthorized_error,
 )
-from repro.service.errors import ServiceErrorInfo
+from repro.service.errors import ServiceError, ServiceErrorInfo
 from repro.service.keys import KEY_VERSION
 from repro.stochastic.law import registered_laws
 from repro.swapgraph.metrics import observe_graph_request
 
-__all__ = ["RouterServer", "serve_sharded"]
+__all__ = ["READ_TIMEOUT", "RouterServer"]
+
+READ_TIMEOUT = 60.0  # seconds allowed for one head or body read
+_HEAD_LIMIT = 1 << 16  # request-head bytes before a 431
 
 _REASONS = {
     200: "OK", 400: "Bad Request", 403: "Forbidden", 404: "Not Found",
     405: "Method Not Allowed", 409: "Conflict", 411: "Length Required",
     413: "Request Entity Too Large", 429: "Too Many Requests",
-    500: "Internal Server Error", 503: "Service Unavailable",
-    504: "Gateway Timeout",
+    431: "Request Header Fields Too Large", 500: "Internal Server Error",
+    503: "Service Unavailable", 504: "Gateway Timeout",
 }
+_SERVER_HEADER = f"Server: repro-swaps/{__version__}"
+# the API routes and the one method each answers; ops routes are GETs
+_API_METHODS = {
+    "/v1/solve": "POST",
+    "/v1/validate": "POST",
+    "/v1/swap-graph": "POST",
+    "/v1/batch": "POST",
+    "/v1/sweep": "GET",
+}
+_OPS_PATHS = ("/healthz", "/readyz", "/version", "/metrics")
+_KNOWN_PATHS = frozenset((*_API_METHODS, *_OPS_PATHS))
+_TOKEN = re.compile(r"[!#$%&'*+.^_`|~0-9A-Za-z-]+\Z")  # RFC 9110 §5.6.2
+_TARGET = re.compile(r"[!-~]+\Z")  # visible ASCII: no controls, no spaces
+
 _MAX_IDLE_PER_REPLICA = 64
 _DEADLINE_GRACE = 1.0  # let the replica's own 504 win the race
 # idempotent routes the router-side response LRU may serve without
@@ -116,10 +166,512 @@ _SUPERVISE_TICK = 0.1  # how often the supervisor polls for dead replicas
 _READMIT_PROBES = 50  # /readyz attempts (0.1s apart) before giving up
 
 
-def _package_version() -> str:
-    from repro import __version__
+class _Reply(NamedTuple):
+    """One response: status, body, content type and extra headers."""
 
-    return __version__
+    status: int
+    body: bytes
+    content_type: str = "application/json"
+    headers: Optional[Dict[str, str]] = None
+
+
+def _json_reply(payload: object) -> _Reply:
+    return _Reply(200, json.dumps(payload, separators=(",", ":")).encode("utf-8"))
+
+
+def _error_reply(
+    info: ServiceErrorInfo, headers: Optional[Dict[str, str]] = None
+) -> _Reply:
+    status, body = envelope_bytes(info)
+    return _Reply(status, body, headers=headers)
+
+
+def _deadline_reply(seconds: float) -> _Reply:
+    return _error_reply(
+        ServiceErrorInfo.from_exception(
+            DeadlineExceededError(deadline_message(seconds))
+        )
+    )
+
+
+class _WireError(Exception):
+    """A typed refusal raised mid-pipeline, answered with its envelope."""
+
+    def __init__(self, info: ServiceErrorInfo) -> None:
+        super().__init__(info.message)
+        self.info = info
+
+
+class _Request:
+    """One request as it moves through the pipeline."""
+
+    __slots__ = (
+        "client", "started", "method", "target", "path", "route", "headers",
+        "keep_alive", "unread", "body", "budget", "token",
+    )
+
+    def __init__(self, client: str) -> None:
+        self.client = client
+        self.started = time.perf_counter()
+        self.method = self.target = "-"
+        self.path = ""
+        self.route = "unknown"
+        self.headers: Dict[str, str] = {}
+        self.keep_alive = False  # until a well-formed head says otherwise
+        self.unread = False  # a declared body not yet consumed
+        self.body = b""
+        self.budget: Optional[float] = None  # forwarded X-Repro-Deadline
+        self.token: Optional[Tuple[str, str, bytes]] = None  # router cache key
+
+    def parse(self, head: bytes) -> None:
+        """Fill in the request from its head; ``ValueError`` names the flaw."""
+        request_line, *lines = head[:-4].decode("latin-1").split("\r\n")
+        parts = request_line.split(" ")
+        if (
+            len(parts) != 3
+            or not _TOKEN.match(parts[0])
+            or not _TARGET.match(parts[1])
+            or parts[2] not in ("HTTP/1.0", "HTTP/1.1")
+        ):
+            raise ValueError(f"bad request line {request_line[:80]!r}")
+        headers: Dict[str, str] = {}
+        for line in lines:
+            name, colon, value = line.partition(":")
+            if not colon or not _TOKEN.match(name) or "\n" in value or "\r" in value:
+                raise ValueError(f"bad header line {line[:80]!r}")
+            name, value = name.lower(), value.strip(" \t")
+            if name == "content-length" and headers.get(name, value) != value:
+                raise ValueError("conflicting Content-Length headers")
+            headers[name] = value
+        self.method, self.target, version = parts
+        self.path = self.target.split("?", 1)[0]
+        self.route = self.path if self.path in _KNOWN_PATHS else "unknown"
+        self.headers = headers
+        options = headers.get("connection", "").lower().replace(" ", "").split(",")
+        self.keep_alive = version == "HTTP/1.1" and "close" not in options
+        self.unread = (
+            "transfer-encoding" in headers
+            or headers.get("content-length", "0") != "0"
+        )
+
+
+def _budget(raw: Optional[str]) -> Optional[float]:
+    """The forwarded ``X-Repro-Deadline`` budget in seconds, if any."""
+    try:
+        return max(0.0, float(raw)) if raw is not None else None
+    except ValueError:
+        return None
+
+
+class _FrontEnd:
+    """The event loop, the parser, the pipeline and the lifecycle.
+
+    Subclasses are the roles. They supply :meth:`_backend` (the answer
+    to an admitted API request) and may extend :meth:`_surface`, the
+    ``/readyz``/``/version`` documents, :meth:`_admin`,
+    :meth:`_cached_reply`, :meth:`_background` and :meth:`_reject`.
+    The loop runs on a dedicated thread; public methods are
+    thread-safe.
+    """
+
+    _grace = 0.0  # seconds the backend may run past the deadline
+
+    def __init__(self, config: ServerConfig, faults) -> None:
+        self.config = config
+        self.faults = faults
+        self.metrics = HTTPMetrics()
+        target = config.overload_target
+        if target is None and config.deadline is not None:
+            target = config.deadline / 2.0
+        self.gate = CostAwareGate(config.queue_depth, target=target)
+        self._draining = threading.Event()
+        self._ready = threading.Event()
+        self._closed = False
+        self._failed: Optional[BaseException] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._server: Optional[asyncio.base_events.Server] = None
+        self._stopped: Optional[asyncio.Future] = None
+        self._thread: Optional[threading.Thread] = None
+        self._tasks: set = set()  # connections and background work
+        self._host: Optional[str] = None
+        self._port: Optional[int] = None
+
+    # -- state ---------------------------------------------------------- #
+
+    @property
+    def host(self) -> str:
+        assert self._host is not None, "server not started"
+        return self._host
+
+    @property
+    def port(self) -> int:
+        """The bound port (resolves ``port=0`` to the OS's pick)."""
+        assert self._port is not None, "server not started"
+        return self._port
+
+    @property
+    def draining(self) -> bool:
+        return self._draining.is_set()
+
+    @property
+    def ready(self) -> bool:
+        return self._ready.is_set() and not self.draining
+
+    # -- lifecycle ------------------------------------------------------ #
+
+    def start(self):
+        """Bind and serve on the loop thread; returns once listening."""
+        self._thread = threading.Thread(
+            target=self._run_loop, name="repro-http-loop", daemon=True
+        )
+        self._thread.start()
+        self._ready.wait()
+        if self._port is None:
+            self.shutdown(drain=False)
+            raise RuntimeError(
+                f"server failed to start: {self._failed}"
+            ) from self._failed
+        return self
+
+    def _run_loop(self) -> None:
+        self._loop = asyncio.new_event_loop()
+        try:
+            self._loop.run_until_complete(self._serve())
+        finally:
+            self._ready.set()  # a failed start must not leave start() waiting
+            self._loop.close()
+
+    async def _serve(self) -> None:
+        try:
+            self._server = await asyncio.start_server(
+                self._handle_client,
+                host=self.config.host,
+                port=self.config.port,
+                limit=_HEAD_LIMIT,
+            )
+        except OSError as exc:
+            self._failed = exc
+            return
+        self._host, self._port = self._server.sockets[0].getsockname()[:2]
+        self._stopped = self._loop.create_future()
+        self._ready.set()
+        self._background()
+        try:
+            await self._stopped
+        finally:
+            self._server.close()
+            tasks = list(self._tasks)
+            for task in tasks:
+                task.cancel()
+            await asyncio.gather(*tasks, return_exceptions=True)
+
+    def _spawn(self, coro) -> asyncio.Task:
+        """A background task; the shutdown cancels it and collects it."""
+        task = self._loop.create_task(coro)
+        self._tasks.add(task)
+        return task
+
+    def _on_loop(self, callback) -> None:
+        if self._port is not None:
+            try:
+                self._loop.call_soon_threadsafe(callback)
+            except RuntimeError:  # the loop already closed
+                pass
+
+    def shutdown(self, drain: bool = True) -> bool:
+        """Stop accepting, drain in-flight requests, stop, flush metrics.
+
+        Returns True iff every in-flight request finished within
+        ``drain_timeout`` (False means stragglers were abandoned).
+        Idempotent; safe to call from any thread.
+        """
+        if self._closed:
+            return True
+        self._closed = True
+        self._draining.set()
+        self._on_loop(lambda: self._server.close())
+        drained = self.gate.wait_idle(
+            self.config.drain_timeout if drain else 0.0
+        )
+        self._on_loop(
+            lambda: self._stopped.done() or self._stopped.set_result(None)
+        )
+        if self._thread is not None:
+            self._thread.join(timeout=5.0)
+        if self.config.metrics_out is not None:
+            write_metrics(self.config.metrics_out)
+        self._ready.clear()
+        get_logger().log(
+            "http_drained", drained=drained, inflight=self.gate.inflight
+        )
+        return drained
+
+    # -- role extension points ------------------------------------------ #
+
+    def _backend(self, request: _Request) -> Awaitable[_Reply]:
+        """The answer to an admitted API request."""
+        raise NotImplementedError
+
+    def _surface(self) -> Optional[Dict[str, object]]:
+        return None
+
+    def _readyz_document(self) -> Dict[str, object]:
+        return {
+            "ok": True,
+            "status": "ready",
+            "surface": self._surface(),
+            "laws": registered_laws(),
+        }
+
+    def _version_document(self) -> Dict[str, object]:
+        return {
+            "ok": True,
+            "server": "repro-swaps",
+            "version": __version__,
+            "key_version": KEY_VERSION,
+            "surface": self._surface(),
+            "laws": registered_laws(),
+        }
+
+    async def _admin(self, request: _Request, reader, writer) -> _Reply:
+        return _error_reply(not_found_error(request.path))
+
+    def _cached_reply(self, request: _Request) -> Optional[_Reply]:
+        return None
+
+    def _background(self) -> None:
+        """Start the role's background tasks (on the loop, once bound)."""
+
+    def _reject(self, reason: str) -> None:
+        self.metrics.rejected.inc(reason=reason)
+
+    # -- the pipeline --------------------------------------------------- #
+
+    async def _handle_client(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        task = asyncio.current_task()
+        self._tasks.add(task)
+        peer = writer.get_extra_info("peername")
+        client = str(peer[0]) if peer else "unknown"
+        try:
+            while await self._exchange(reader, writer, client):
+                pass
+        except (ConnectionError, asyncio.CancelledError):
+            # cancelled by the shutdown: ending quietly matters, because
+            # asyncio's stream protocol calls task.exception() on this
+            # task, which raises (and logs) on a cancelled one in 3.11
+            pass
+        finally:
+            self._tasks.discard(task)
+            try:
+                writer.close()
+            except RuntimeError:
+                # a hard shutdown can close the loop while this handler
+                # is mid-await; the transport is gone either way
+                pass
+
+    async def _exchange(self, reader, writer, client: str) -> bool:
+        """Serve one request; True keeps the connection open."""
+        request = _Request(client)
+        try:
+            head = await self._read(reader.readuntil(b"\r\n\r\n"), writer)
+        except asyncio.LimitOverrunError:
+            reply = _error_reply(header_too_large_error(_HEAD_LIMIT))
+            return await self._send(writer, request, reply)
+        except asyncio.IncompleteReadError:
+            return False  # the peer left, or stalled past the read bound
+        request.started = time.perf_counter()
+        try:
+            request.parse(head)
+        except ValueError as exc:
+            reply = _error_reply(malformed_head_error(str(exc)))
+            return await self._send(writer, request, reply)
+        try:
+            return await self._route(request, reader, writer)
+        except (asyncio.IncompleteReadError, ConnectionError):
+            return False  # the body never arrived in full, or the peer left
+        except _WireError as exc:
+            reply = _error_reply(exc.info)
+        except Exception as exc:  # a bug answers 500, never a silent close
+            get_logger().log(
+                "http_error", path=request.target, error=traceback.format_exc()
+            )
+            request.keep_alive = False
+            reply = _error_reply(ServiceErrorInfo.from_exception(exc))
+        return await self._send(writer, request, reply)
+
+    async def _read(self, pending: Awaitable[bytes], writer) -> bytes:
+        """Await one read within :data:`READ_TIMEOUT`.
+
+        A peer that stalls past the bound is disconnected, which ends
+        the read with ``IncompleteReadError`` (a timer per read costs
+        less than ``asyncio.wait_for``'s task per read).
+        """
+        timer = self._loop.call_later(READ_TIMEOUT, writer.transport.abort)
+        try:
+            return await pending
+        finally:
+            timer.cancel()
+
+    async def _route(self, request: _Request, reader, writer) -> bool:
+        method, path = request.method, request.path
+        if method == "GET" and path in _OPS_PATHS:
+            return await self._send(writer, request, self._ops(path))
+        if path.startswith("/admin/"):
+            reply = await self._admin(request, reader, writer)
+            return await self._send(writer, request, reply)
+        if _API_METHODS.get(path) != method:
+            error = (
+                method_not_allowed_error(method, path)
+                if path in _KNOWN_PATHS
+                else not_found_error(path)
+            )
+            return await self._send(writer, request, _error_reply(error))
+        if method == "POST":
+            await self._read_body(request, reader, writer)
+        if self.draining:
+            self._reject("draining")
+            request.keep_alive = False
+            return await self._send(writer, request, _error_reply(draining_error()))
+        cached = self._cached_reply(request)
+        if cached is not None:
+            return await self._send(writer, request, cached)
+        request.budget = _budget(request.headers.get("x-repro-deadline"))
+        shed = self.gate.admit(path, request.target, request.budget)
+        if shed is not None:
+            return await self._send(writer, request, self._shed(shed, request))
+        cost = route_weight(path, request.target)
+        self.metrics.inflight.inc()
+        admitted = time.perf_counter()
+        try:
+            reply = await self._call(request)
+            if reply is None:
+                return False
+            return await self._send(writer, request, reply)
+        finally:
+            self.metrics.inflight.dec()
+            self.gate.leave(cost)
+            self.gate.observe(path, time.perf_counter() - admitted)
+
+    def _ops(self, path: str) -> _Reply:
+        """The operational routes: never gated, served while draining."""
+        if path == "/healthz":
+            return _json_reply({"ok": True, "status": "alive"})
+        if path == "/version":
+            return _json_reply(self._version_document())
+        if path == "/metrics":
+            text = to_prometheus_text(get_registry())
+            return _Reply(
+                200, text.encode("utf-8"), "text/plain; version=0.0.4; charset=utf-8"
+            )
+        if self.draining:
+            return _error_reply(
+                ServiceErrorInfo(
+                    code="draining", message="server is draining", retryable=True
+                )
+            )
+        return _json_reply(self._readyz_document())
+
+    async def _read_body(self, request: _Request, reader, writer) -> None:
+        """Read the declared body into ``request.body``, within the limits."""
+        headers = request.headers
+        if "chunked" in headers.get("transfer-encoding", "").lower():
+            raise _WireError(chunked_body_error())
+        raw = headers.get("content-length")
+        if raw is None:
+            raise _WireError(missing_length_error())
+        if not (raw.isascii() and raw.isdigit()):
+            raise _WireError(malformed_length_error(raw))
+        length, limit = int(raw), self.config.max_body_bytes
+        if length > limit:
+            # refuse without reading; the unread body forces a close
+            self._reject("body_too_large")
+            raise _WireError(body_too_large_error(length, limit))
+        if headers.get("expect", "").lower() == "100-continue":
+            writer.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        request.body = await self._read(reader.readexactly(length), writer)
+        request.unread = False
+
+    def _shed(self, reason: str, request: _Request) -> _Reply:
+        self._reject(reason)
+        if reason == "deadline":
+            # the budget is provably insufficient: refused in
+            # microseconds instead of burning a worker and 504ing anyway
+            deadline = self.config.deadline
+            return _deadline_reply(
+                deadline if deadline is not None else request.budget or 0.0
+            )
+        # overload shedding wears the queue_full envelope: both mean
+        # "capacity, retry later"
+        return _error_reply(
+            queue_full_error(self.config.queue_depth), {"Retry-After": "1"}
+        )
+
+    async def _call(self, request: _Request) -> Optional[_Reply]:
+        """Fault hooks, then the backend under the deadline.
+
+        ``None`` means an injected ``http_drop``: close without a reply.
+        """
+        if self.faults.enabled:
+            if self.faults.fires("http_drop", key=request.route):
+                # injected transport failure: well-behaved clients see a
+                # dropped connection and retry
+                self._reject("fault_drop")
+                return None
+            delay = self.faults.delay_for("http_slow", key=request.route)
+            if delay is not None:
+                await asyncio.sleep(delay)
+        deadline = self.config.deadline
+        try:
+            if deadline is None:
+                return await self._backend(request)
+            # a forwarded budget tightens the timer, never the envelope:
+            # the 504 always quotes the configured deadline
+            timer = deadline if request.budget is None else min(deadline, request.budget)
+            try:
+                return await asyncio.wait_for(
+                    self._backend(request), timer + self._grace
+                )
+            except asyncio.TimeoutError:
+                self._reject("deadline")
+                return _deadline_reply(deadline)
+        except _WireError as exc:
+            return _error_reply(exc.info)
+        except ServiceError as exc:
+            return _error_reply(ServiceErrorInfo.from_exception(exc))
+
+    async def _send(self, writer, request: _Request, reply: _Reply) -> bool:
+        """Write ``reply`` and account for it; True keeps the connection."""
+        keep_alive = request.keep_alive and not request.unread
+        head = [
+            f"HTTP/1.1 {reply.status} {_REASONS.get(reply.status, 'Unknown')}",
+            _SERVER_HEADER,
+            f"Content-Type: {reply.content_type}",
+            f"Content-Length: {len(reply.body)}",
+        ]
+        head += [f"{name}: {value}" for name, value in (reply.headers or {}).items()]
+        if not keep_alive:
+            head.append("Connection: close")
+        writer.write("\r\n".join(head).encode("latin-1") + b"\r\n\r\n" + reply.body)
+        await writer.drain()
+        elapsed = time.perf_counter() - request.started
+        # method labels stay bounded whatever verbs clients invent
+        method = request.method if request.method in ("GET", "POST") else "other"
+        self.metrics.observe(
+            request.route, method, reply.status, elapsed, len(reply.body)
+        )
+        get_logger().log(
+            "http_access",
+            method=request.method,
+            route=request.route,
+            path=request.target,
+            status=reply.status,
+            seconds=round(elapsed, 6),
+            bytes=len(reply.body),
+            client=request.client,
+        )
+        return keep_alive
 
 
 class _ReplicaLink:
@@ -165,12 +717,8 @@ class _ReplicaLink:
             writer.close()
 
 
-class RouterServer:
-    """The asyncio router with the same lifecycle surface as
-    :class:`~repro.server.app.SwapServer` (start/shutdown/host/port),
-    so tests and :func:`serve_sharded` drive both front ends the same
-    way. The event loop runs on a dedicated thread; public methods are
-    thread-safe.
+class RouterServer(_FrontEnd):
+    """The proxy role: a consistent-hash router over replica processes.
 
     Parameters
     ----------
@@ -180,20 +728,23 @@ class RouterServer:
         its replicas.
     endpoints:
         Optional pre-existing replica endpoints ``[(host, port), ...]``
-        (tests route to in-process threaded servers). When given, no
+        (tests route to in-process local-role servers). When given, no
         subprocesses are spawned and ``config.replicas`` is ignored.
     """
+
+    _grace = _DEADLINE_GRACE
 
     def __init__(
         self,
         config: Optional[ServerConfig] = None,
         endpoints: Optional[Sequence[Tuple[str, int]]] = None,
     ) -> None:
-        self.config = config if config is not None else ServerConfig(replicas=2)
-        self.faults = (
-            build_injector(self.config.fault_plan)
-            if self.config.fault_plan is not None
-            else NULL_INJECTOR
+        config = config if config is not None else ServerConfig(replicas=2)
+        super().__init__(
+            config,
+            build_injector(config.fault_plan)
+            if config.fault_plan is not None
+            else NULL_INJECTOR,
         )
         self._replica_set: Optional[ReplicaSet] = None
         if endpoints is None:
@@ -212,13 +763,8 @@ class RouterServer:
             ]
             if not self._static_endpoints:
                 raise ValueError("endpoints must be non-empty")
-        self.metrics = HTTPMetrics()
         self.router_metrics = RouterMetrics(names)
         self.supervisor_metrics = SupervisorMetrics(names)
-        target = self.config.overload_target
-        if target is None and self.config.deadline is not None:
-            target = self.config.deadline / 2.0
-        self.gate = CostAwareGate(self.config.queue_depth, target=target)
         self.ring = HashRing(names)
         # request -> routing-key cache: canonicalising a body costs
         # ~25us (JSON parse + service key), a digest lookup ~1us; hot
@@ -228,7 +774,7 @@ class RouterServer:
         # exact-key 200 replies served without a proxy hop, invalidated
         # wholesale on every topology epoch change
         self._cache_capacity = self.config.router_cache
-        self._response_cache: "OrderedDict[Tuple[str, str, bytes], Tuple[int, str, bytes]]" = (
+        self._response_cache: "OrderedDict[Tuple[str, str, bytes], _Reply]" = (
             OrderedDict()
         )
         self._epoch = 1
@@ -247,35 +793,8 @@ class RouterServer:
                 flap_window=self.config.flap_window,
                 faults=self.faults,
             )
-        self._draining = threading.Event()
-        self._ready = threading.Event()
-        self._closed = False
-        self._failed: Optional[BaseException] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._thread: Optional[threading.Thread] = None
-        self._host: Optional[str] = None
-        self._port: Optional[int] = None
 
     # -- state ---------------------------------------------------------- #
-
-    @property
-    def host(self) -> str:
-        assert self._host is not None, "server not started"
-        return self._host
-
-    @property
-    def port(self) -> int:
-        assert self._port is not None, "server not started"
-        return self._port
-
-    @property
-    def draining(self) -> bool:
-        return self._draining.is_set()
-
-    @property
-    def ready(self) -> bool:
-        return self._ready.is_set() and not self.draining
 
     @property
     def epoch(self) -> int:
@@ -303,62 +822,21 @@ class RouterServer:
             self._links[name] = _ReplicaLink(
                 name, host, port, self.router_metrics
             )
-        self._thread = threading.Thread(
-            target=self._run_loop, name="repro-aio-serve", daemon=True
-        )
-        self._thread.start()
-        self._ready.wait(timeout=30.0)
-        if self._failed is not None:
-            self.shutdown(drain=False)
-            raise RuntimeError(
-                f"router failed to start: {self._failed}"
-            ) from self._failed
-        return self
-
-    def _run_loop(self) -> None:
-        self._loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(self._loop)
-        try:
-            self._loop.run_until_complete(self._serve())
-        finally:
-            self._loop.close()
+        return super().start()
 
     async def _serve(self) -> None:
         try:
-            self._server = await asyncio.start_server(
-                self._handle_client,
-                host=self.config.host,
-                port=self.config.port,
-            )
-        except OSError as exc:
-            self._failed = exc
-            self._ready.set()
-            return
-        sockname = self._server.sockets[0].getsockname()
-        self._host, self._port = sockname[0], sockname[1]
-        self._stop_future = self._loop.create_future()
-        self._ready.set()
+            await super()._serve()
+        finally:
+            for link in self._links.values():
+                link.close_all()
+
+    def _background(self) -> None:
         if self.config.probe_interval is not None:
             for name in list(self._names):
                 self._start_probe(name)
-        supervise_task: Optional[asyncio.Task] = None
         if self._supervisor is not None:
-            supervise_task = self._loop.create_task(self._supervise_loop())
-        try:
-            async with self._server:
-                await self._stop_future
-        finally:
-            tasks = list(self._probe_tasks.values())
-            self._probe_tasks.clear()
-            if supervise_task is not None:
-                tasks.append(supervise_task)
-            for task in tasks:
-                task.cancel()
-            for task in tasks:
-                try:
-                    await task
-                except asyncio.CancelledError:
-                    pass
+            self._spawn(self._supervise_loop())
 
     def shutdown(self, drain: bool = True) -> bool:
         """Stop accepting, drain in-flight proxies, stop the replicas.
@@ -366,315 +844,72 @@ class RouterServer:
         Returns True iff in-flight work finished within
         ``drain_timeout``. Idempotent, callable from any thread.
         """
-        if self._closed:
-            return True
-        self._closed = True
-        self._draining.set()
-        loop = self._loop
-        if loop is not None and not loop.is_closed() and self._ready.is_set():
-            def _stop() -> None:
-                if self._server is not None:
-                    self._server.close()
-                for link in self._links.values():
-                    link.close_all()
-                if not self._stop_future.done():
-                    self._stop_future.set_result(None)
-
-            try:
-                loop.call_soon_threadsafe(_stop)
-            except RuntimeError:
-                pass
-        drained = self.gate.wait_idle(
-            self.config.drain_timeout if drain else 0.0
-        )
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
+        drained = super().shutdown(drain)
         if self._replica_set is not None:
             self._replica_set.stop(drain=drain)
-        if self.config.metrics_out is not None:
-            write_metrics(self.config.metrics_out)
-        self._ready.clear()
-        get_logger().log(
-            "router_drained", drained=drained, inflight=self.gate.inflight
-        )
         return drained
 
-    # -- request handling ----------------------------------------------- #
+    # -- the pipeline's proxy-role extensions --------------------------- #
 
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                try:
-                    head = await reader.readuntil(b"\r\n\r\n")
-                except (
-                    asyncio.IncompleteReadError,
-                    asyncio.LimitOverrunError,
-                    ConnectionError,
-                ):
-                    return
-                started = time.perf_counter()
-                parsed = self._parse_head(head)
-                if parsed is None:
-                    return  # unparseable request line: just hang up
-                method, target, headers = parsed
-                keep_alive = await self._respond(
-                    reader, writer, method, target, headers, started
-                )
-                if not keep_alive:
-                    return
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            try:
-                writer.close()
-            except RuntimeError:
-                # a hard shutdown can close the loop while this handler
-                # is mid-await; the transport is gone either way
-                pass
+    def _reject(self, reason: str) -> None:
+        super()._reject(reason)
+        self.router_metrics.rejected.inc(reason=reason)
 
-    @staticmethod
-    def _parse_head(
-        head: bytes,
-    ) -> Optional[Tuple[str, str, Dict[str, str]]]:
-        try:
-            text = head.decode("latin-1")
-            request_line, *header_lines = text.split("\r\n")
-            method, target, _version = request_line.split(" ", 2)
-        except ValueError:
+    def _readyz_document(self) -> Dict[str, object]:
+        members = set(self.ring.nodes)
+        return {
+            **super()._readyz_document(),
+            "epoch": self._epoch,
+            "replicas": [
+                {"name": name, "url": url}
+                for name, url in zip(self._names, self.replica_urls)
+                if name in members
+            ],
+        }
+
+    def _version_document(self) -> Dict[str, object]:
+        return {
+            **super()._version_document(),
+            "role": "router",
+            "replicas": len(self._names),
+        }
+
+    def _cached_reply(self, request: _Request) -> Optional[_Reply]:
+        request.token = (
+            request.method,
+            request.target,
+            blake2b(request.body, digest_size=16).digest(),
+        )
+        if not (self._cache_capacity and request.path in _CACHEABLE_PATHS):
             return None
-        headers: Dict[str, str] = {}
-        for line in header_lines:
-            if not line:
-                continue
-            name, _sep, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip()
-        return method.upper(), target, headers
-
-    async def _respond(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        method: str,
-        target: str,
-        headers: Dict[str, str],
-        started: float,
-    ) -> bool:
-        """Answer one parsed request; returns keep-alive."""
-        path = target.split("?", 1)[0]
-        route = path if path in _KNOWN_PATHS else "unknown"
-
-        async def send(
-            status: int,
-            body: bytes,
-            content_type: str = "application/json",
-            extra: Optional[Dict[str, str]] = None,
-            keep_alive: bool = True,
-        ) -> bool:
-            head_lines = [
-                f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
-                f"Server: repro-swaps-router/{_package_version()}",
-                f"Content-Type: {content_type}",
-                f"Content-Length: {len(body)}",
-            ]
-            for name, value in (extra or {}).items():
-                head_lines.append(f"{name}: {value}")
-            if not keep_alive:
-                head_lines.append("Connection: close")
-            writer.write(
-                "\r\n".join(head_lines).encode("latin-1") + b"\r\n\r\n" + body
-            )
-            await writer.drain()
-            elapsed = time.perf_counter() - started
-            self.metrics.observe(route, method, status, elapsed, len(body))
-            get_logger().log(
-                "http_access",
-                method=method,
-                route=route,
-                path=target,
-                status=status,
-                seconds=round(elapsed, 6),
-                bytes=len(body),
-                client="router",
-            )
-            return keep_alive
-
-        async def send_error(
-            info: ServiceErrorInfo,
-            extra: Optional[Dict[str, str]] = None,
-            keep_alive: bool = True,
-        ) -> bool:
-            status, body = envelope_bytes(info)
-            return await send(
-                status, body, extra=extra, keep_alive=keep_alive
-            )
-
-        # ops routes: answered locally, never gated, served while draining
-        if path == "/healthz" and method == "GET":
-            return await send(200, _json_bytes({"ok": True, "status": "alive"}))
-        if path == "/readyz" and method == "GET":
-            return await self._ops_readyz(send, send_error)
-        if path == "/version" and method == "GET":
-            return await send(
-                200,
-                _json_bytes(
-                    {
-                        "ok": True,
-                        "server": "repro-swaps",
-                        "version": _package_version(),
-                        "key_version": KEY_VERSION,
-                        "surface": None,
-                        "laws": registered_laws(),
-                        "role": "router",
-                        "replicas": len(self._names),
-                    }
-                ),
-            )
-        if path == "/metrics" and method == "GET":
-            text = to_prometheus_text(get_registry())
-            return await send(
-                200,
-                text.encode("utf-8"),
-                content_type="text/plain; version=0.0.4; charset=utf-8",
-            )
-
-        if path.startswith("/admin/"):
-            return await self._admin(
-                send, send_error, reader, method, path, headers
-            )
-
-        if (method, path) not in _API_ROUTES:
-            if path in _KNOWN_PATHS:
-                return await send_error(method_not_allowed_error(method, path))
-            return await send_error(not_found_error(path))
-
-        # ---- API routes: body limits, admission, routed proxy -------- #
-        body = b""
-        if method == "POST":
-            if "chunked" in headers.get("transfer-encoding", "").lower():
-                return await send_error(chunked_body_error())
-            raw_length = headers.get("content-length")
-            if raw_length is None:
-                return await send_error(missing_length_error())
-            try:
-                length = int(raw_length)
-            except ValueError:
-                return await send_error(malformed_length_error(raw_length))
-            limit = self.config.max_body_bytes
-            if length > limit:
-                # refuse without reading; the unread body forces a close
-                self.metrics.rejected.inc(reason="body_too_large")
-                self.router_metrics.rejected.inc(reason="body_too_large")
-                return await send_error(
-                    body_too_large_error(length, limit), keep_alive=False
-                )
-            try:
-                body = await reader.readexactly(length)
-            except asyncio.IncompleteReadError:
-                return False
-
-        if self.draining:
-            self.metrics.rejected.inc(reason="draining")
-            self.router_metrics.rejected.inc(reason="draining")
-            return await send_error(draining_error(), keep_alive=False)
-        token = (method, target, blake2b(body, digest_size=16).digest())
-        if self._cache_capacity and path in _CACHEABLE_PATHS:
-            hit = self._response_cache.get(token)
-            if hit is not None:
-                # exact-key hot-path: answered from the router without
-                # admission or a proxy hop (a hit costs microseconds)
-                self._response_cache.move_to_end(token)
-                self.router_metrics.cache_events.inc(event="hit")
-                status, content_type, payload = hit
-                return await send(status, payload, content_type=content_type)
+        hit = self._response_cache.get(request.token)
+        if hit is None:
             self.router_metrics.cache_events.inc(event="miss")
-        shed = self.gate.admit(route, target)
-        if shed is not None:
-            self.metrics.rejected.inc(reason=shed)
-            self.router_metrics.rejected.inc(reason=shed)
-            # overload shedding wears the same envelope as queue_full:
-            # both mean "capacity, retry later", and parity with the
-            # threaded stack's 429 bytes is a design invariant
-            return await send_error(
-                queue_full_error(self.config.queue_depth),
-                extra={"Retry-After": "1"},
-            )
-        cost = route_weight(route, target)
-        self.metrics.inflight.inc()
+            return None
+        # exact-key hot path: answered from the router without admission
+        # or a proxy hop (a hit costs microseconds)
+        self._response_cache.move_to_end(request.token)
+        self.router_metrics.cache_events.inc(event="hit")
+        return hit
+
+    async def _backend(self, request: _Request) -> _Reply:
         self.router_metrics.inflight.inc()
-        admitted = time.perf_counter()
         try:
-            deadline = self.config.deadline
-            try:
-                if deadline is None:
-                    outcome = await self._route_and_proxy(
-                        method, target, headers, body, token, started
-                    )
-                else:
-                    outcome = await asyncio.wait_for(
-                        self._route_and_proxy(
-                            method, target, headers, body, token, started
-                        ),
-                        timeout=deadline + _DEADLINE_GRACE,
-                    )
-            except asyncio.TimeoutError:
-                self.metrics.rejected.inc(reason="deadline")
-                self.router_metrics.rejected.inc(reason="deadline")
-                info = ServiceErrorInfo.from_exception(
-                    DeadlineExceededError(deadline_message(deadline))
-                )
-                return await send_error(info)
-            if outcome is None:
-                self.router_metrics.rejected.inc(reason="no_replica")
-                return await send_error(no_replica_error(len(self._names)))
-            status, content_type, extra, payload = outcome
-            if path == "/v1/swap-graph" and status == 200:
+            reply = await self._route_and_proxy(request)
+        finally:
+            self.router_metrics.inflight.dec()
+        if reply is None:
+            self.router_metrics.rejected.inc(reason="no_replica")
+            return _error_reply(no_replica_error(len(self._names)))
+        if reply.status == 200:
+            if request.path == "/v1/swap-graph":
                 # the solve itself runs in a replica subprocess whose
                 # registry this /metrics cannot see; count the proxied
                 # request here so the family exports on the router too
                 observe_graph_request("router")
-            if (
-                self._cache_capacity
-                and status == 200
-                and path in _CACHEABLE_PATHS
-            ):
-                self._cache_store(token, status, content_type, payload)
-            return await send(
-                status, payload, content_type=content_type, extra=extra
-            )
-        finally:
-            self.metrics.inflight.dec()
-            self.router_metrics.inflight.dec()
-            self.gate.leave(cost)
-            self.gate.observe(route, time.perf_counter() - admitted)
-
-    async def _ops_readyz(self, send, send_error) -> bool:
-        if self.draining:
-            return await send_error(
-                ServiceErrorInfo(
-                    code="draining", message="server is draining", retryable=True
-                ),
-                keep_alive=False,
-            )
-        members = set(self.ring.nodes)
-        return await send(
-            200,
-            _json_bytes(
-                {
-                    "ok": True,
-                    "status": "ready",
-                    "surface": None,
-                    "laws": registered_laws(),
-                    "epoch": self._epoch,
-                    "replicas": [
-                        {"name": name, "url": url}
-                        for name, url in zip(self._names, self.replica_urls)
-                        if name in members
-                    ],
-                }
-            ),
-        )
+            if self._cache_capacity and request.path in _CACHEABLE_PATHS:
+                self._cache_store(request.token, reply)
+        return reply
 
     # -- active health probes ------------------------------------------- #
 
@@ -725,9 +960,7 @@ class RouterServer:
     def _start_probe(self, name: str) -> None:
         if self.config.probe_interval is None or name in self._probe_tasks:
             return
-        self._probe_tasks[name] = self._loop.create_task(
-            self._probe_replica(name)
-        )
+        self._probe_tasks[name] = self._spawn(self._probe_replica(name))
 
     def _stop_probe(self, name: str) -> None:
         task = self._probe_tasks.pop(name, None)
@@ -796,11 +1029,9 @@ class RouterServer:
             ring=self.ring.nodes,
         )
 
-    def _cache_store(
-        self, token, status: int, content_type: str, payload: bytes
-    ) -> None:
+    def _cache_store(self, token, reply: _Reply) -> None:
         cache = self._response_cache
-        cache[token] = (status, content_type, payload)
+        cache[token] = _Reply(reply.status, reply.body, reply.content_type)
         cache.move_to_end(token)
         while len(cache) > self._cache_capacity:
             cache.popitem(last=False)
@@ -924,75 +1155,55 @@ class RouterServer:
 
     # -- the admin surface: live resharding ------------------------------ #
 
-    async def _admin(
-        self, send, send_error, reader, method: str, path: str, headers
-    ) -> bool:
+    async def _admin(self, request: _Request, reader, writer) -> _Reply:
         """Authenticated control-plane routes (``/admin/v1/*``).
 
         Never gated: resharding must work *because* the data plane is
         saturated, not only when it is idle. The body is read before
         any rejection so keep-alive framing survives a 403.
         """
-        body = b""
+        method, path = request.method, request.path
         if method == "POST":
-            raw_length = headers.get("content-length")
-            if raw_length is None:
-                return await send_error(missing_length_error())
-            try:
-                length = int(raw_length)
-            except ValueError:
-                return await send_error(malformed_length_error(raw_length))
-            limit = self.config.max_body_bytes
-            if length > limit:
-                self.metrics.rejected.inc(reason="body_too_large")
-                return await send_error(
-                    body_too_large_error(length, limit), keep_alive=False
-                )
-            try:
-                body = await reader.readexactly(length)
-            except asyncio.IncompleteReadError:
-                return False
+            await self._read_body(request, reader, writer)
         token = self.config.admin_token
         if token is None:
-            return await send_error(
+            return _error_reply(
                 unauthorized_error(
                     "admin surface disabled; start the router with "
                     "--admin-token"
                 )
             )
-        if headers.get("authorization", "") != f"Bearer {token}":
-            return await send_error(
-                unauthorized_error("bad or missing bearer token")
-            )
+        if request.headers.get("authorization", "") != f"Bearer {token}":
+            return _error_reply(unauthorized_error("bad or missing bearer token"))
         if self.faults.enabled and self.faults.fires(
             "admin_partition", key=path
         ):
-            return await send_error(admin_unavailable_error())
+            return _error_reply(admin_unavailable_error())
         if path == "/admin/v1/topology" and method == "GET":
-            return await send(200, _json_bytes(self._topology_document()))
+            return _json_reply(self._topology_document())
         if path == "/admin/v1/replicas" and method == "POST":
             try:
-                data = json.loads(body.decode("utf-8"))
+                data = json.loads(request.body.decode("utf-8"))
                 if not isinstance(data, dict):
                     raise ValueError("body must be a JSON object")
             except (ValueError, UnicodeDecodeError) as exc:
-                return await send_error(
+                return _error_reply(
                     ServiceErrorInfo(code="invalid_request", message=str(exc))
                 )
             action = data.get("action")
             if action == "add":
-                return await self._admin_add(send, send_error, data)
+                return await self._admin_add(data)
             if action == "remove":
-                return await self._admin_remove(send, send_error, data)
-            return await send_error(
+                return await self._admin_remove(data)
+            return _error_reply(
                 ServiceErrorInfo(
                     code="invalid_request",
                     message=f"action must be 'add' or 'remove', got {action!r}",
                 )
             )
         if path in ("/admin/v1/topology", "/admin/v1/replicas"):
-            return await send_error(method_not_allowed_error(method, path))
-        return await send_error(not_found_error(path))
+            return _error_reply(method_not_allowed_error(method, path))
+        return _error_reply(not_found_error(path))
 
     def _topology_document(self) -> dict:
         members = set(self.ring.nodes)
@@ -1024,14 +1235,14 @@ class RouterServer:
             "admission": self.gate.snapshot(),
         }
 
-    async def _admin_add(self, send, send_error, data: dict) -> bool:
+    async def _admin_add(self, data: dict) -> _Reply:
         url = data.get("url")
         if url is not None:
             # externally managed replica (tests, exotic deployments):
             # the router routes to it but never supervises it
             parts = urlsplit(str(url))
             if parts.hostname is None or parts.port is None:
-                return await send_error(
+                return _error_reply(
                     ServiceErrorInfo(
                         code="invalid_request",
                         message=f"url must be http://host:port, got {url!r}",
@@ -1045,13 +1256,13 @@ class RouterServer:
                 name = f"replica-{index}"
             name = str(name)
             if name in self._links:
-                return await send_error(
+                return _error_reply(
                     conflict_error(f"replica {name!r} already exists")
                 )
             host, port = parts.hostname, int(parts.port)
         else:
             if self._replica_set is None:
-                return await send_error(
+                return _error_reply(
                     ServiceErrorInfo(
                         code="invalid_request",
                         message="router does not own its replicas; pass url",
@@ -1062,7 +1273,7 @@ class RouterServer:
                     None, self._replica_set.add_process
                 )
             except (RuntimeError, ValueError) as exc:
-                return await send_error(
+                return _error_reply(
                     ServiceErrorInfo(
                         code="internal_error",
                         message=f"replica spawn failed: {exc}",
@@ -1087,7 +1298,7 @@ class RouterServer:
                 await self._loop.run_in_executor(
                     None, lambda: self._replica_set.remove_process(name, False)
                 )
-            return await send_error(
+            return _error_reply(
                 ServiceErrorInfo(
                     code="internal_error",
                     message=f"replica {name} never passed /readyz",
@@ -1099,34 +1310,31 @@ class RouterServer:
         get_logger().log(
             "admin_add", replica=name, url=f"http://{host}:{port}"
         )
-        return await send(
-            200,
-            _json_bytes(
-                {
-                    "ok": True,
-                    "name": name,
-                    "url": f"http://{host}:{port}",
-                    "epoch": self._epoch,
-                }
-            ),
+        return _json_reply(
+            {
+                "ok": True,
+                "name": name,
+                "url": f"http://{host}:{port}",
+                "epoch": self._epoch,
+            }
         )
 
-    async def _admin_remove(self, send, send_error, data: dict) -> bool:
+    async def _admin_remove(self, data: dict) -> _Reply:
         name = data.get("name")
         if not isinstance(name, str) or name not in self._links:
-            return await send_error(
+            return _error_reply(
                 ServiceErrorInfo(
                     code="invalid_request",
                     message=f"unknown replica {name!r}",
                 )
             )
         if name in self._removing:
-            return await send_error(
+            return _error_reply(
                 conflict_error(f"replica {name!r} is already draining")
             )
         on_ring = name in self.ring.nodes
         if on_ring and len(self.ring) <= 1:
-            return await send_error(
+            return _error_reply(
                 conflict_error("cannot remove the last replica on the ring")
             )
         self._removing.add(name)
@@ -1163,42 +1371,31 @@ class RouterServer:
                 drained=drained,
                 exit_code=exit_code,
             )
-            return await send(
-                200,
-                _json_bytes(
-                    {
-                        "ok": True,
-                        "name": name,
-                        "drained": drained,
-                        "epoch": self._epoch,
-                    }
-                ),
+            return _json_reply(
+                {
+                    "ok": True,
+                    "name": name,
+                    "drained": drained,
+                    "epoch": self._epoch,
+                }
             )
         finally:
             self._removing.discard(name)
 
     # -- the routed proxy ----------------------------------------------- #
 
-    async def _route_and_proxy(
-        self,
-        method: str,
-        target: str,
-        headers: Dict[str, str],
-        body: bytes,
-        token: Tuple[str, str, bytes],
-        started: float,
-    ) -> Optional[Tuple[int, str, Dict[str, str], bytes]]:
+    async def _route_and_proxy(self, request: _Request) -> Optional[_Reply]:
         """Proxy to the key's home shard, failing over in ring order.
 
         ``None`` means every replica refused -- the caller answers
         ``503 no_replica``.
         """
-        key = self._route_keys.get(token)
+        key = self._route_keys.get(request.token)
         if key is None:
-            key = routing_key(method, target, body)
+            key = routing_key(request.method, request.target, request.body)
             if len(self._route_keys) >= 4096:
                 self._route_keys.clear()  # bounded; refills with hot keys
-            self._route_keys[token] = key
+            self._route_keys[request.token] = key
         deadline = self.config.deadline
         for position, name in enumerate(self.ring.nodes_for(key)):
             link = self._links.get(name)
@@ -1221,13 +1418,11 @@ class RouterServer:
             # request the router will 504 anyway
             budget: Optional[float] = None
             if deadline is not None:
-                budget = max(0.0, deadline - (time.perf_counter() - started))
+                budget = max(0.0, deadline - (time.perf_counter() - request.started))
             proxy_started = time.perf_counter()
             link.inflight += 1
             try:
-                outcome = await self._proxy_once(
-                    link, method, target, headers, body, budget
-                )
+                reply = await self._proxy_once(link, request, budget)
             except (ConnectionError, OSError, asyncio.IncompleteReadError):
                 link.breaker.record_failure()
                 self.router_metrics.reroutes.inc(
@@ -1241,41 +1436,38 @@ class RouterServer:
             self.router_metrics.proxy_seconds.observe(
                 time.perf_counter() - proxy_started, replica=name
             )
-            return outcome
+            return reply
         return None
 
     async def _proxy_once(
         self,
         link: _ReplicaLink,
-        method: str,
-        target: str,
-        headers: Dict[str, str],
-        body: bytes,
+        request: _Request,
         budget: Optional[float] = None,
-    ) -> Tuple[int, str, Dict[str, str], bytes]:
+    ) -> _Reply:
         """One request over one (pooled) replica connection.
 
-        Returns ``(status, content_type, relay_headers, body)`` exactly
-        as the replica answered -- the body bytes are never touched.
+        Returns the reply exactly as the replica answered -- the body
+        bytes are never touched; only ``Retry-After`` is relayed.
         """
         reader, writer = await link.connection()
         reusable = False
         try:
             request_lines = [
-                f"{method} {target} HTTP/1.1",
+                f"{request.method} {request.target} HTTP/1.1",
                 f"Host: {link.host}:{link.port}",
-                f"Content-Length: {len(body)}",
+                f"Content-Length: {len(request.body)}",
                 "Connection: keep-alive",
             ]
             if budget is not None:
                 request_lines.append(f"X-Repro-Deadline: {budget:.6f}")
-            content_type = headers.get("content-type")
+            content_type = request.headers.get("content-type")
             if content_type:
                 request_lines.append(f"Content-Type: {content_type}")
             writer.write(
                 "\r\n".join(request_lines).encode("latin-1")
                 + b"\r\n\r\n"
-                + body
+                + request.body
             )
             await writer.drain()
 
@@ -1297,63 +1489,11 @@ class RouterServer:
             relay: Dict[str, str] = {}
             if "retry-after" in reply_headers:
                 relay["Retry-After"] = reply_headers["retry-after"]
-            return (
+            return _Reply(
                 status,
+                payload,
                 reply_headers.get("content-type", "application/json"),
                 relay,
-                payload,
             )
         finally:
             link.release(reader, writer, reusable)
-
-
-def _json_bytes(payload: object) -> bytes:
-    return json.dumps(payload, separators=(",", ":")).encode("utf-8")
-
-
-def serve_sharded(
-    config: ServerConfig,
-    stop: Optional[threading.Event] = None,
-    announce: Optional[Callable[[dict], None]] = None,
-) -> int:
-    """Run the sharded topology until SIGTERM/SIGINT, then drain.
-
-    The ``--replicas N`` counterpart of :func:`repro.server.app.serve`
-    with the same contract: signal handlers when on the main thread, an
-    ``announce`` dict once listening (plus a ``replicas`` count), exit
-    0 on a clean drain.
-    """
-    server = RouterServer(config)
-    stop = stop if stop is not None else threading.Event()
-
-    def _request_stop(_signum, _frame) -> None:
-        stop.set()
-
-    previous: Dict[int, object] = {}
-    try:
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                previous[sig] = signal.signal(sig, _request_stop)
-            except ValueError:  # not the main thread
-                pass
-        server.start()
-        where = {
-            "host": server.host,
-            "port": server.port,
-            "pid": os.getpid(),
-            "replicas": len(server.ring),
-        }
-        event = {"event": "listening", **where}
-        if announce is not None:
-            announce(event)
-        else:
-            print(json.dumps(event, separators=(",", ":")), flush=True)
-        get_logger().log("router_listening", **where)
-        stop.wait()
-        return 0 if server.shutdown(drain=True) else 1
-    finally:
-        for sig, handler in previous.items():
-            try:
-                signal.signal(sig, handler)  # type: ignore[arg-type]
-            except ValueError:
-                pass

@@ -1,8 +1,11 @@
-"""The HTTP serving layer: routes, admission control, graceful drain.
+"""The local role: a :class:`SwapService` behind the HTTP front end.
 
-A :class:`SwapServer` fronts one :class:`~repro.service.api.SwapService`
-with a threaded stdlib HTTP server (``http.server`` -- zero new
-dependencies). The surface:
+A :class:`SwapServer` answers HTTP from one in-process
+:class:`~repro.service.api.SwapService`, through the event-loop front
+end of :mod:`repro.server.aio` -- the same parser, limits, drain,
+admission, envelopes and metrics as the router. It is what
+``repro-swaps serve`` runs without ``--replicas``, and what every
+replica subprocess of the sharded tier runs. The surface:
 
 ========  =============  =================================================
 method    path           behaviour
@@ -31,539 +34,61 @@ are answered with one vectorised pass through the grid engine
 most one array solve, and ``/metrics`` exposes it as the
 ``repro_grid_*`` family.
 
-Production behaviours, all enforced here rather than left to callers:
+JSON bodies and sweep queries are parsed on the event loop, so a
+``400`` never leaves it. Each service call then runs on a daemon
+thread of its own, resolved into an asyncio future and timed against
+the deadline (tightened by a router's forwarded ``X-Repro-Deadline``
+budget); a call still running at its deadline is answered ``504`` and
+abandoned -- the stdlib offers no safe preemption, so a deadline
+protects the *caller's* latency budget, not the server's CPU. Daemon
+threads, not a ``ThreadPoolExecutor``: an executor joins its workers
+at interpreter exit, so one abandoned call would hold a drained
+``serve`` process open until the call finished.
 
-* **admission control** -- at most ``queue_depth`` API requests run at
-  once; excess load is shed immediately with ``429`` + ``Retry-After``
-  (operational endpoints bypass the gate so probes never starve);
-* **request limits** -- bodies over ``max_body_bytes`` get ``413``
-  without being read; work still running at ``deadline`` seconds is
-  abandoned and answered ``504`` (the envelope is ``retryable``);
-* **graceful drain** -- :meth:`SwapServer.shutdown` (wired to
-  SIGTERM/SIGINT by :func:`serve`) stops accepting, answers new API
-  requests ``503 draining``, waits up to ``drain_timeout`` for
-  in-flight requests, then flushes metrics to ``metrics_out``;
-* **observability** -- every response lands in ``repro_http_*``
-  (:mod:`repro.server.metrics`) and emits one structured
-  ``http_access`` event through :mod:`repro.obs.logging`.
+:func:`serve` runs either role until SIGTERM/SIGINT, then drains.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 import signal
 import threading
-import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
-from repro.faults.injector import NULL_INJECTOR, build_injector
-from repro.obs.exporters import to_prometheus_text, write_metrics
-from repro.obs.logging import get_logger
-from repro.obs.metrics import get_registry
-from repro.server.config import ServerConfig
-from repro.server.metrics import HTTPMetrics
-from repro.server.wire import (
-    DeadlineExceededError,
-    ResultReply,
-    SweepReply,
-    body_too_large_error,
-    chunked_body_error,
-    deadline_message,
-    draining_error,
-    error_envelope,
-    malformed_length_error,
-    method_not_allowed_error,
-    missing_length_error,
-    not_found_error,
-    queue_full_error,
-    status_for,
-)
 from repro.core.parameters import SwapParameters
+from repro.faults.injector import NULL_INJECTOR, build_injector
+from repro.obs.logging import get_logger
+from repro.server.aio import (
+    RouterServer,
+    _error_reply,
+    _FrontEnd,
+    _json_reply,
+    _Reply,
+    _Request,
+    _WireError,
+)
+from repro.server.config import ServerConfig
+from repro.server.wire import ResultReply, SweepReply
 from repro.service.api import SwapService
-from repro.service.errors import ServiceError, ServiceErrorInfo
+from repro.service.errors import RequestValidationError, ServiceErrorInfo
 from repro.service.jsonl import render_records, serve_lines
-from repro.service.keys import KEY_VERSION
 from repro.service.requests import parse_request
-from repro.stochastic.law import parse_law, registered_laws
+from repro.stochastic.law import parse_law
 
-__all__ = ["AdmissionGate", "SwapServer", "serve"]
+__all__ = ["SwapServer", "serve"]
 
-_API_ROUTES = {
-    ("POST", "/v1/solve"): "_api_solve",
-    ("POST", "/v1/validate"): "_api_validate",
-    ("POST", "/v1/swap-graph"): "_api_swap_graph",
-    ("POST", "/v1/batch"): "_api_batch",
-    ("GET", "/v1/sweep"): "_api_sweep",
+# the single-result routes and the request kind each accepts
+_RESULT_KINDS = {
+    "/v1/solve": "solve",
+    "/v1/validate": "validate",
+    "/v1/swap-graph": "swap_graph",
 }
-_OPS_ROUTES = {
-    ("GET", "/healthz"): "_ops_healthz",
-    ("GET", "/readyz"): "_ops_readyz",
-    ("GET", "/version"): "_ops_version",
-    ("GET", "/metrics"): "_ops_metrics",
-}
-_KNOWN_PATHS = {path for _method, path in (*_API_ROUTES, *_OPS_ROUTES)}
 
 
-class _WireError(Exception):
-    """Internal: an error envelope to send, with optional headers."""
-
-    def __init__(
-        self, info: ServiceErrorInfo, headers: Optional[Dict[str, str]] = None
-    ) -> None:
-        super().__init__(info.message)
-        self.info = info
-        self.headers = headers or {}
-
-
-class AdmissionGate:
-    """Bounded concurrent admission with an idle event for draining.
-
-    Shared by both front ends: the threaded :class:`SwapServer` here
-    and the asyncio router of :mod:`repro.server.aio` (whose event
-    loop only ever touches it from one thread, but the router's proxy
-    work happens on executor threads, so the lock stays)."""
-
-    def __init__(self, depth: int) -> None:
-        self.depth = int(depth)
-        self._lock = threading.Lock()
-        self._count = 0
-        self._idle = threading.Event()
-        self._idle.set()
-
-    @property
-    def inflight(self) -> int:
-        with self._lock:
-            return self._count
-
-    def try_enter(self) -> bool:
-        """Admit one request, or refuse immediately when full."""
-        with self._lock:
-            if self._count >= self.depth:
-                return False
-            self._count += 1
-            self._idle.clear()
-            return True
-
-    def leave(self) -> None:
-        with self._lock:
-            self._count -= 1
-            if self._count <= 0:
-                self._idle.set()
-
-    def wait_idle(self, timeout: Optional[float]) -> bool:
-        """Block until no request is in flight (True iff drained)."""
-        return self._idle.wait(timeout)
-
-
-class _Handler(BaseHTTPRequestHandler):
-    """One request; all state lives on ``self.server.owner``."""
-
-    protocol_version = "HTTP/1.1"
-    timeout = 60.0  # socket read timeout: abandoned keep-alives expire
-    # the handler writes headers and body as separate sends; without
-    # TCP_NODELAY, Nagle holds the body until the peer's delayed ACK
-    # (~40ms) on every keep-alive request -- fatal for throughput
-    disable_nagle_algorithm = True
-
-    # ------------------------------------------------------------------ #
-    # plumbing
-    # ------------------------------------------------------------------ #
-
-    @property
-    def owner(self) -> "SwapServer":
-        return self.server.owner  # type: ignore[attr-defined]
-
-    def version_string(self) -> str:  # Server: header
-        return f"repro-swaps/{_package_version()}"
-
-    def log_message(self, format: str, *args: object) -> None:
-        # default stderr chatter off; access goes through repro.obs
-        pass
-
-    def do_GET(self) -> None:  # noqa: N802 (http.server naming)
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:  # noqa: N802
-        self._dispatch("POST")
-
-    def _dispatch(self, method: str) -> None:
-        self._started = time.perf_counter()
-        self._method = method
-        path = urlsplit(self.path).path
-        self._route = path if path in _KNOWN_PATHS else "unknown"
-        self._responded = False
-        try:
-            ops = _OPS_ROUTES.get((method, path))
-            if ops is not None:
-                getattr(self, ops)()
-                return
-            if (method, path) in _API_ROUTES:
-                self._api(method, path)
-                return
-            if path in _KNOWN_PATHS:
-                self._send_error(method_not_allowed_error(method, path))
-                return
-            self._send_error(not_found_error(path))
-        except (BrokenPipeError, ConnectionResetError):
-            self.close_connection = True
-        except Exception as exc:  # never let a bug kill the connection loop
-            if not self._responded:
-                self._send_error(ServiceErrorInfo.from_exception(exc))
-            else:
-                self.close_connection = True
-
-    def _send_json(
-        self,
-        status: int,
-        payload: object,
-        headers: Optional[Dict[str, str]] = None,
-    ) -> None:
-        body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-        self._send_bytes(status, body, "application/json", headers)
-
-    def _send_error(
-        self,
-        info: ServiceErrorInfo,
-        headers: Optional[Dict[str, str]] = None,
-        status: Optional[int] = None,
-    ) -> None:
-        self._send_json(
-            status if status is not None else status_for(info),
-            error_envelope(info),
-            headers,
-        )
-
-    def _send_bytes(
-        self,
-        status: int,
-        body: bytes,
-        content_type: str,
-        headers: Optional[Dict[str, str]] = None,
-    ) -> None:
-        self._responded = True
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        try:
-            self.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError):
-            self.close_connection = True
-        elapsed = time.perf_counter() - self._started
-        self.owner.metrics.observe(
-            self._route, self._method, status, elapsed, len(body)
-        )
-        get_logger().log(
-            "http_access",
-            method=self._method,
-            route=self._route,
-            path=self.path,
-            status=status,
-            seconds=round(elapsed, 6),
-            bytes=len(body),
-            client=self.client_address[0],
-        )
-
-    # ------------------------------------------------------------------ #
-    # admission, limits, deadline
-    # ------------------------------------------------------------------ #
-
-    def _api(self, method: str, path: str) -> None:
-        from repro.server.overload import route_weight
-
-        owner = self.owner
-        if owner.draining:
-            owner.metrics.rejected.inc(reason="draining")
-            self.close_connection = True
-            self._send_error(draining_error())
-            return
-        # the router forwards its remaining deadline budget; a request
-        # whose budget is provably insufficient is refused here in
-        # microseconds instead of burning a worker and 504ing anyway
-        self._budget = None
-        raw_budget = self.headers.get("X-Repro-Deadline")
-        if raw_budget is not None:
-            try:
-                self._budget = max(0.0, float(raw_budget))
-            except ValueError:
-                self._budget = None
-        shed = owner.gate.admit(path, self.path, self._budget)
-        if shed == "deadline":
-            owner.metrics.rejected.inc(reason="deadline")
-            seconds = (
-                owner.config.deadline
-                if owner.config.deadline is not None
-                else self._budget or 0.0
-            )
-            self._send_error(
-                ServiceErrorInfo.from_exception(
-                    DeadlineExceededError(deadline_message(seconds))
-                )
-            )
-            return
-        if shed is not None:
-            # overload shedding wears the same envelope as queue_full:
-            # both mean "capacity, retry later", and the parity suite
-            # holds both front ends to identical 429 bytes
-            owner.metrics.rejected.inc(reason=shed)
-            self._send_error(
-                queue_full_error(owner.config.queue_depth),
-                headers={"Retry-After": "1"},
-            )
-            return
-        cost = route_weight(path, self.path)
-        owner.metrics.inflight.inc()
-        admitted = time.perf_counter()
-        try:
-            if owner.faults.enabled:
-                if owner.faults.fires("http_drop", key=self._route):
-                    # injected transport failure: vanish without a
-                    # response; well-behaved clients see a dropped
-                    # connection and retry
-                    owner.metrics.rejected.inc(reason="fault_drop")
-                    self.close_connection = True
-                    return
-                owner.faults.sleep("http_slow", key=self._route)
-            getattr(self, _API_ROUTES[(method, path)])()
-        except _WireError as exc:
-            self._send_error(exc.info, headers=exc.headers)
-        except ServiceError as exc:
-            self._send_error(ServiceErrorInfo.from_exception(exc))
-        finally:
-            owner.metrics.inflight.dec()
-            owner.gate.leave(cost)
-            owner.gate.observe(path, time.perf_counter() - admitted)
-
-    def _read_body(self) -> bytes:
-        """The request body, bounded by ``max_body_bytes``."""
-        if "chunked" in self.headers.get("Transfer-Encoding", "").lower():
-            raise _WireError(chunked_body_error())
-        raw_length = self.headers.get("Content-Length")
-        if raw_length is None:
-            raise _WireError(missing_length_error())
-        try:
-            length = int(raw_length)
-        except ValueError:
-            raise _WireError(malformed_length_error(raw_length)) from None
-        limit = self.owner.config.max_body_bytes
-        if length > limit:
-            # refuse without reading; the unread body forces a close
-            self.owner.metrics.rejected.inc(reason="body_too_large")
-            self.close_connection = True
-            raise _WireError(body_too_large_error(length, limit))
-        return self.rfile.read(length)
-
-    def _json_body(self) -> dict:
-        body = self._read_body()
-        try:
-            data = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise _WireError(
-                ServiceErrorInfo(code="parse_error", message=str(exc))
-            ) from None
-        if not isinstance(data, dict):
-            raise _WireError(
-                ServiceErrorInfo(
-                    code="invalid_request",
-                    message=f"body must be a JSON object, got {type(data).__name__}",
-                )
-            )
-        return data
-
-    def _with_deadline(self, fn: Callable[[], object]) -> object:
-        """Run ``fn``, abandoning it at the configured deadline (504).
-
-        The worker thread is left to finish and its result discarded --
-        the stdlib offers no safe preemption -- so a deadline protects
-        the *caller's* latency budget, not the server's CPU. A
-        forwarded router budget tightens the timer (never the envelope:
-        the 504 message always quotes the configured deadline, which
-        the parity suite compares byte-for-byte).
-        """
-        deadline = self.owner.config.deadline
-        if deadline is None:
-            return fn()
-        budget = getattr(self, "_budget", None)
-        timer = deadline if budget is None else min(deadline, budget)
-        box: dict = {}
-        done = threading.Event()
-
-        def _run() -> None:
-            try:
-                box["value"] = fn()
-            except BaseException as exc:  # re-raised in the request thread
-                box["error"] = exc
-            finally:
-                done.set()
-
-        worker = threading.Thread(
-            target=_run, name="repro-http-deadline", daemon=True
-        )
-        worker.start()
-        if not done.wait(timer):
-            self.owner.metrics.rejected.inc(reason="deadline")
-            raise DeadlineExceededError(deadline_message(deadline))
-        if "error" in box:
-            raise box["error"]
-        return box["value"]
-
-    # ------------------------------------------------------------------ #
-    # API routes
-    # ------------------------------------------------------------------ #
-
-    def _api_solve(self) -> None:
-        self._single_request("solve")
-
-    def _api_validate(self) -> None:
-        self._single_request("validate")
-
-    def _api_swap_graph(self) -> None:
-        self._single_request("swap_graph")
-
-    def _single_request(self, kind: str) -> None:
-        data = self._json_body()
-        data.setdefault("kind", kind)
-        if data["kind"] != kind:
-            raise _WireError(
-                ServiceErrorInfo(
-                    code="invalid_request",
-                    message=f"this route only accepts kind={kind!r}, "
-                    f"got {data['kind']!r}",
-                )
-            )
-        request = parse_request(data)  # ServiceError -> 400 via _api
-        item = self._with_deadline(
-            lambda: self.owner.service.run_batch([request])[0]
-        )
-        if not item.ok:
-            self._send_error(item.error)
-            return
-        self._send_json(200, ResultReply.from_item(kind, item).to_dict())
-
-    def _api_batch(self) -> None:
-        body = self._read_body()
-        try:
-            lines = body.decode("utf-8").splitlines()
-        except UnicodeDecodeError as exc:
-            raise _WireError(
-                ServiceErrorInfo(code="parse_error", message=str(exc))
-            ) from None
-        _all_parsed, records = self._with_deadline(
-            lambda: serve_lines(self.owner.service, lines)
-        )
-        # one record per line, in-band errors: always 200, like the CLI
-        self._send_bytes(
-            200,
-            render_records(records).encode("utf-8"),
-            "application/x-ndjson",
-        )
-
-    def _api_sweep(self) -> None:
-        query = parse_qs(urlsplit(self.path).query)
-        raw = query.get("pstars", [""])[0]
-        try:
-            pstars = [float(part) for part in raw.split(",") if part.strip()]
-            collateral = float(query.get("collateral", ["0"])[0])
-            raw_tolerance = query.get("tolerance", [None])[0]
-            tolerance = (
-                float(raw_tolerance) if raw_tolerance is not None else None
-            )
-            raw_law = query.get("law", [None])[0]
-            params = (
-                SwapParameters.default().replace(law=parse_law(raw_law))
-                if raw_law
-                else None
-            )
-        except ValueError as exc:
-            raise _WireError(
-                ServiceErrorInfo(code="invalid_request", message=str(exc))
-            ) from None
-        if not pstars:
-            raise _WireError(
-                ServiceErrorInfo(
-                    code="invalid_request",
-                    message="query must give pstars=<comma-separated floats>",
-                )
-            )
-        items = self._with_deadline(
-            lambda: self.owner.service.sweep(
-                pstars, params=params, collateral=collateral, tolerance=tolerance
-            )
-        )
-        self._send_json(200, SweepReply.from_items(pstars, items).to_dict())
-
-    # ------------------------------------------------------------------ #
-    # operational routes (never gated, served while draining)
-    # ------------------------------------------------------------------ #
-
-    def _ops_healthz(self) -> None:
-        self._send_json(200, {"ok": True, "status": "alive"})
-
-    def _ops_readyz(self) -> None:
-        owner = self.owner
-        if owner.draining:
-            self._send_error(
-                ServiceErrorInfo(
-                    code="draining", message="server is draining", retryable=True
-                )
-            )
-            return
-        # the surface info lets operators verify *which* artifact this
-        # replica answers from (axes, checksum) straight off the probe;
-        # the law map, which price laws this build can solve under
-        self._send_json(
-            200,
-            {
-                "ok": True,
-                "status": "ready",
-                "surface": owner.service.surface_info(),
-                "laws": registered_laws(),
-            },
-        )
-
-    def _ops_version(self) -> None:
-        self._send_json(
-            200,
-            {
-                "ok": True,
-                "server": "repro-swaps",
-                "version": _package_version(),
-                "key_version": KEY_VERSION,
-                "surface": self.owner.service.surface_info(),
-                "laws": registered_laws(),
-            },
-        )
-
-    def _ops_metrics(self) -> None:
-        text = to_prometheus_text(get_registry())
-        self._send_bytes(
-            200,
-            text.encode("utf-8"),
-            "text/plain; version=0.0.4; charset=utf-8",
-        )
-
-
-def _package_version() -> str:
-    from repro import __version__
-
-    return __version__
-
-
-class _HTTPServer(ThreadingHTTPServer):
-    daemon_threads = True  # drain is bounded by gate.wait_idle, not joins
-    allow_reuse_address = True
-
-    def __init__(self, address, handler, owner: "SwapServer") -> None:
-        super().__init__(address, handler)
-        self.owner = owner
-
-
-class SwapServer:
+class SwapServer(_FrontEnd):
     """A :class:`SwapService` behind HTTP, with lifecycle control.
 
     Parameters
@@ -582,105 +107,139 @@ class SwapServer:
         config: Optional[ServerConfig] = None,
         service: Optional[SwapService] = None,
     ) -> None:
-        self.config = config if config is not None else ServerConfig()
-        if self.config.fault_plan is not None:
-            self.faults = build_injector(self.config.fault_plan)
+        config = config if config is not None else ServerConfig()
+        if config.fault_plan is not None:
+            faults = build_injector(config.fault_plan)
         else:
-            self.faults = getattr(service, "faults", NULL_INJECTOR)
+            faults = getattr(service, "faults", NULL_INJECTOR)
+        super().__init__(config, faults)
         self.service = (
             service
             if service is not None
             else SwapService(
-                max_workers=self.config.workers,
-                cache_size=self.config.cache_size,
-                cache_dir=self.config.cache_dir,
-                cache_entries=self.config.cache_entries,
-                timeout=self.config.timeout,
-                faults=self.faults,
-                surface=self.config.surface,
-                tolerance=self.config.tolerance,
+                max_workers=config.workers,
+                cache_size=config.cache_size,
+                cache_dir=config.cache_dir,
+                cache_entries=config.cache_entries,
+                timeout=config.timeout,
+                faults=faults,
+                surface=config.surface,
+                tolerance=config.tolerance,
             )
         )
-        # imported here: overload builds on AdmissionGate above, so a
-        # module-level import would be circular
-        from repro.server.overload import CostAwareGate
 
-        self.metrics = HTTPMetrics()
-        target = self.config.overload_target
-        if target is None and self.config.deadline is not None:
-            target = self.config.deadline / 2.0
-        self.gate = CostAwareGate(self.config.queue_depth, target=target)
-        self._draining = threading.Event()
-        self._ready = threading.Event()
-        self._closed = False
-        self._thread: Optional[threading.Thread] = None
-        self._httpd = _HTTPServer(
-            (self.config.host, self.config.port), _Handler, owner=self
-        )
+    def _surface(self) -> Optional[Dict[str, object]]:
+        # lets operators verify *which* artifact this server answers
+        # from (axes, checksum) straight off the probe
+        return self.service.surface_info()
 
-    # -- state ---------------------------------------------------------- #
+    def _backend(self, request: _Request) -> "asyncio.Future[_Reply]":
+        return _on_daemon_thread(self._loop, self._work(request))
 
-    @property
-    def host(self) -> str:
-        return self._httpd.server_address[0]
+    def _work(self, request: _Request) -> Callable[[], _Reply]:
+        """Parse ``request`` (a bad one raises); the call to run off the loop."""
+        service = self.service
+        if request.path == "/v1/sweep":
+            pstars, options = _sweep_query(request.target)
+            return lambda: _json_reply(
+                SweepReply.from_items(pstars, service.sweep(pstars, **options)).to_dict()
+            )
+        if request.path == "/v1/batch":
+            lines = _utf8(request.body).splitlines()
+            # one record per line, in-band errors: always 200, like the CLI
+            return lambda: _Reply(
+                200,
+                render_records(serve_lines(service, lines)[1]).encode("utf-8"),
+                "application/x-ndjson",
+            )
+        kind = _RESULT_KINDS[request.path]
+        parsed = parse_request(_json_object(request.body, kind))
+        return lambda: _result_reply(kind, service.run_batch([parsed])[0])
 
-    @property
-    def port(self) -> int:
-        """The bound port (resolves ``port=0`` to the OS's pick)."""
-        return self._httpd.server_address[1]
 
-    @property
-    def draining(self) -> bool:
-        return self._draining.is_set()
+def _on_daemon_thread(loop: asyncio.AbstractEventLoop, work: Callable[[], _Reply]):
+    """Run ``work`` on a fresh daemon thread; a loop future of its result.
 
-    @property
-    def ready(self) -> bool:
-        return self._ready.is_set() and not self.draining
+    Cancelling the future (a deadline) abandons the thread: it finishes
+    on its own and its result is dropped.
+    """
+    future = loop.create_future()
 
-    # -- lifecycle ------------------------------------------------------ #
+    def settle(value, error) -> None:
+        if future.done():  # abandoned at its deadline
+            return
+        if error is not None:
+            future.set_exception(error)
+        else:
+            future.set_result(value)
 
-    def serve_forever(self) -> None:
-        """Serve until :meth:`shutdown` (blocking; CLI runs this)."""
-        self._ready.set()
+    def run() -> None:
         try:
-            self._httpd.serve_forever(poll_interval=0.05)
-        finally:
-            self._ready.clear()
+            value, error = work(), None
+        except Exception as exc:  # re-raised on the loop
+            value, error = None, exc
+        try:
+            loop.call_soon_threadsafe(settle, value, error)
+        except RuntimeError:  # the loop closed while the call ran
+            pass
 
-    def start(self) -> "SwapServer":
-        """Serve on a background thread; returns once listening."""
-        self._thread = threading.Thread(
-            target=self.serve_forever, name="repro-http-serve", daemon=True
-        )
-        self._thread.start()
-        self._ready.wait()
-        return self
+    threading.Thread(target=run, name="repro-http-call", daemon=True).start()
+    return future
 
-    def shutdown(self, drain: bool = True) -> bool:
-        """Stop accepting, drain in-flight work, flush metrics.
 
-        Returns True iff every in-flight request finished within
-        ``drain_timeout`` (False means stragglers were abandoned).
-        Idempotent; safe to call from any thread.
-        """
-        if self._closed:
-            return True
-        self._draining.set()
-        if self._ready.is_set() or self._thread is not None:
-            self._httpd.shutdown()  # stop the accept loop
-        drained = self.gate.wait_idle(
-            self.config.drain_timeout if drain else 0.0
+def _utf8(body: bytes) -> str:
+    try:
+        return body.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _WireError(ServiceErrorInfo(code="parse_error", message=str(exc))) from None
+
+
+def _json_object(body: bytes, kind: str) -> dict:
+    """The request object of a single-result route, ``kind`` filled in."""
+    try:
+        data = json.loads(_utf8(body))
+    except json.JSONDecodeError as exc:
+        raise _WireError(ServiceErrorInfo(code="parse_error", message=str(exc))) from None
+    if not isinstance(data, dict):
+        raise RequestValidationError(
+            f"body must be a JSON object, got {type(data).__name__}"
         )
-        if self.config.metrics_out is not None:
-            write_metrics(self.config.metrics_out)
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=1.0)
-        self._closed = True
-        get_logger().log(
-            "http_drained", drained=drained, inflight=self.gate.inflight
+    data.setdefault("kind", kind)
+    if data["kind"] != kind:
+        raise RequestValidationError(
+            f"this route only accepts kind={kind!r}, got {data['kind']!r}"
         )
-        return drained
+    return data
+
+
+def _sweep_query(target: str) -> Tuple[List[float], Dict[str, object]]:
+    """``(pstars, sweep keyword arguments)`` from a ``/v1/sweep`` target."""
+    query = parse_qs(urlsplit(target).query)
+    raw = query.get("pstars", [""])[0]
+    try:
+        pstars = [float(part) for part in raw.split(",") if part.strip()]
+        collateral = float(query.get("collateral", ["0"])[0])
+        raw_tolerance = query.get("tolerance", [None])[0]
+        tolerance = float(raw_tolerance) if raw_tolerance is not None else None
+        raw_law = query.get("law", [None])[0]
+        params = (
+            SwapParameters.default().replace(law=parse_law(raw_law))
+            if raw_law
+            else None
+        )
+    except ValueError as exc:
+        raise RequestValidationError(str(exc)) from None
+    if not pstars:
+        raise RequestValidationError(
+            "query must give pstars=<comma-separated floats>"
+        )
+    return pstars, {"params": params, "collateral": collateral, "tolerance": tolerance}
+
+
+def _result_reply(kind: str, item) -> _Reply:
+    if not item.ok:
+        return _error_reply(item.error)
+    return _json_reply(ResultReply.from_item(kind, item).to_dict())
 
 
 def serve(
@@ -690,40 +249,31 @@ def serve(
 ) -> int:
     """Run a server until SIGTERM/SIGINT (or ``stop``), then drain.
 
-    The blocking entry point behind ``repro-swaps serve``. Signal
-    handlers are installed only when running on the main thread (the
-    stdlib forbids them elsewhere); ``stop`` is an optional extra
-    trigger for embedders and tests. ``announce`` receives one
-    ``{"event": "listening", "host", "port", "pid"}`` dict once bound
-    (default: printed to stdout as a JSON line, so callers can discover
-    an ephemeral port). Returns 0 on a clean drain, 1 if in-flight
+    The blocking entry point behind ``repro-swaps serve``: the local
+    role, or with ``config.replicas > 0`` the proxy role over that many
+    replica subprocesses. Signal handlers are installed only when
+    running on the main thread (the stdlib forbids them elsewhere);
+    ``stop`` is an optional extra trigger for embedders and tests.
+    ``announce`` receives one ``{"event": "listening", "host", "port",
+    "pid"}`` dict once bound, plus ``"replicas"`` for a router (default:
+    printed to stdout as a JSON line, so callers can discover an
+    ephemeral port). Returns 0 on a clean drain, 1 if in-flight
     requests had to be abandoned.
-
-    When ``config.replicas > 0`` the call delegates to
-    :func:`repro.server.aio.serve_sharded`: the asyncio router binds
-    the listen socket and this process's port, and N replica
-    subprocesses (each an unmodified :class:`SwapServer`) do the
-    solving. Same contract either way.
     """
-    if config is not None and config.replicas > 0:
-        from repro.server.aio import serve_sharded
-
-        return serve_sharded(config, stop=stop, announce=announce)
-    server = SwapServer(config)
+    config = config if config is not None else ServerConfig()
+    server = RouterServer(config) if config.replicas > 0 else SwapServer(config)
     stop = stop if stop is not None else threading.Event()
-
-    def _request_stop(_signum, _frame) -> None:
-        stop.set()
-
     previous: Dict[int, object] = {}
     try:
         for sig in (signal.SIGTERM, signal.SIGINT):
             try:
-                previous[sig] = signal.signal(sig, _request_stop)
+                previous[sig] = signal.signal(sig, lambda _sig, _frame: stop.set())
             except ValueError:  # not the main thread
                 pass
         server.start()
         where = {"host": server.host, "port": server.port, "pid": os.getpid()}
+        if isinstance(server, RouterServer):
+            where["replicas"] = len(server.ring)
         event = {"event": "listening", **where}
         if announce is not None:
             announce(event)

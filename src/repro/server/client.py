@@ -1,7 +1,7 @@
 """A retrying HTTP client for the serving layer (stdlib ``urllib``).
 
-:class:`SwapClient` speaks the wire format of :mod:`repro.server.app`
-and embeds the retry discipline the server's error envelopes are
+:class:`SwapClient` speaks the v1 wire format (:mod:`repro.server.wire`)
+of either front-end role and embeds the retry discipline the server's error envelopes are
 designed for: capped exponential backoff with **full jitter**
 (``delay ~ U(0, min(cap, base * 2**attempt))``), honouring
 ``Retry-After``, retrying *only* what the server marks transient --
@@ -221,7 +221,7 @@ class _Endpoint:
 
 
 class SwapClient:
-    """Typed access to a running :class:`~repro.server.app.SwapServer`.
+    """Typed access to a running server (either front-end role).
 
     Parameters
     ----------
@@ -251,7 +251,7 @@ class SwapClient:
     discover:
         When True, read the replica topology from ``base_url``'s
         ``/readyz`` document (the sharded router publishes one); a
-        plain threaded server publishes none and the client stays
+        single local-role server publishes none and the client stays
         single-endpoint. The topology is re-read automatically --
         every ``discover_interval`` seconds, and immediately (throttled)
         when every replica breaker refuses or a transport failure

@@ -43,11 +43,12 @@ class ServerConfig:
     workers:
         ``SwapService`` process-pool size (1 = serial in-process).
     replicas:
-        ``0`` (default) runs the single threaded server. ``N >= 1``
-        runs the sharded topology instead: an asyncio router on
-        ``host:port`` consistent-hashing each request's canonical key
-        across ``N`` replica subprocesses, each a full threaded server
-        with its own service/cache/surface chain
+        ``0`` (default) runs one server in the local role: the
+        event-loop front end over an in-process ``SwapService``.
+        ``N >= 1`` runs the sharded topology instead: the same front
+        end in the proxy role on ``host:port``, consistent-hashing each
+        request's canonical key across ``N`` replica subprocesses, each
+        a local-role server with its own service/cache/surface chain
         (:mod:`repro.server.aio`).
     queue_depth:
         Bound on concurrently admitted API requests; excess load is

@@ -4,7 +4,7 @@ Three families, bound once per process against the active
 :mod:`repro.obs` registry and rendered live by ``GET /metrics``:
 
 * ``repro_http_*`` (:class:`HTTPMetrics`) -- per-response accounting
-  of either front end (threaded server or asyncio router);
+  of either front-end role (local server or router);
 * ``repro_router_*`` (:class:`RouterMetrics`) -- the sharded tier's
   proxy accounting: per-replica traffic and latency, re-routes,
   breaker states;
@@ -12,9 +12,9 @@ Three families, bound once per process against the active
   client's hedged-request accounting (which arm won).
 
 Route labels are always one of the fixed route patterns (unknown paths
-collapse to ``unknown``) and replica labels one of the fixed replica
-names, so label cardinality stays bounded no matter what clients
-request.
+collapse to ``unknown``), method labels ``GET``, ``POST`` or ``other``,
+and replica labels one of the fixed replica names, so label cardinality
+stays bounded no matter what clients request.
 """
 
 from __future__ import annotations

@@ -1,12 +1,10 @@
 """Cost-aware admission with CoDel-style overload shedding.
 
-The static :class:`~repro.server.app.AdmissionGate` admits at most
-``queue_depth`` requests regardless of what they are -- but a
-swap-graph lattice solve costs 10-100x a surface-certified sweep
-point, so a depth tuned for solves melts under graph traffic and
-starves under sweeps. :class:`CostAwareGate` keeps the same lifecycle
-surface (``inflight``/``leave``/``wait_idle``, so drains are
-unchanged) and adds three behaviours:
+Admission bounds the work in flight -- but a swap-graph lattice solve
+costs 10-100x a surface-certified sweep point, so a bound on request
+*count* melts under graph traffic and starves under sweeps.
+:class:`CostAwareGate` bounds *cost* instead, keeps the drain surface
+(``inflight``/``leave``/``wait_idle``) and adds three behaviours:
 
 * **per-endpoint weights** -- capacity is ``depth`` *solve-units*;
   each request debits its route's weight (:data:`ROUTE_WEIGHTS`), with
@@ -22,10 +20,8 @@ unchanged) and adds three behaviours:
   observed latency says cannot be met is refused in microseconds
   instead of burning a worker for seconds and answering 504 anyway.
 
-Every shed path keeps the wire contract of the static gate: the
-caller maps the returned reason onto the same typed envelopes
-(``queue_full`` stays byte-identical; the parity suite holds both
-front ends to it).
+The caller maps each shed reason onto a typed envelope
+(:mod:`repro.server.wire`); ``queue_full`` and ``overload`` share one.
 """
 
 from __future__ import annotations
@@ -34,8 +30,6 @@ import threading
 import time
 from collections import deque
 from typing import Callable, Dict, Optional
-
-from repro.server.app import AdmissionGate
 
 __all__ = ["ROUTE_WEIGHTS", "CostAwareGate", "route_weight"]
 
@@ -64,8 +58,12 @@ def route_weight(path: str, target: str = "") -> float:
     return ROUTE_WEIGHTS.get(path, 1.0)
 
 
-class CostAwareGate(AdmissionGate):
-    """A drop-in :class:`AdmissionGate` that admits by cost, not count.
+class CostAwareGate:
+    """Bounded concurrent admission by cost, with an idle event for drains.
+
+    Each front-end server owns one. The lock keeps it safe across
+    threads: the event loop admits and releases, while ``shutdown``
+    waits for idle from another thread.
 
     Parameters
     ----------
@@ -102,13 +100,17 @@ class CostAwareGate(AdmissionGate):
         warmup: int = 8,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        super().__init__(depth)
+        self.depth = int(depth)
         self.capacity = float(self.depth)
         self.target = float(target) if target is not None else None
         self.hold = float(hold)
         self.deadline_factor = float(deadline_factor)
         self.warmup = int(warmup)
         self._clock = clock
+        self._lock = threading.Lock()
+        self._count = 0
+        self._idle = threading.Event()
+        self._idle.set()
         self._cost = 0.0
         self._window: deque = deque(maxlen=int(window))
         self._p95 = 0.0
@@ -120,6 +122,11 @@ class CostAwareGate(AdmissionGate):
         self._samples: Dict[str, int] = {}
 
     # -- state ----------------------------------------------------------- #
+
+    @property
+    def inflight(self) -> int:
+        with self._lock:
+            return self._count
 
     @property
     def inflight_cost(self) -> float:
@@ -186,17 +193,16 @@ class CostAwareGate(AdmissionGate):
             self._idle.clear()
             return None
 
-    def try_enter(self) -> bool:
-        """The static gate's API, kept for compatibility: admits one
-        solve-unit with no target/budget context."""
-        return self.admit("/v1/solve") is None
-
-    def leave(self, cost: float = 1.0) -> None:  # type: ignore[override]
+    def leave(self, cost: float = 1.0) -> None:
         with self._lock:
             self._cost = max(0.0, self._cost - float(cost))
             self._count -= 1
             if self._count <= 0:
                 self._idle.set()
+
+    def wait_idle(self, timeout: Optional[float]) -> bool:
+        """Block until no request is in flight (True iff drained)."""
+        return self._idle.wait(timeout)
 
     # -- the latency feedback loop --------------------------------------- #
 

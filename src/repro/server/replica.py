@@ -1,7 +1,7 @@
 """Replica subprocess management for the sharded serving tier.
 
-Each shard of ``repro-swaps serve --replicas N`` is a *full threaded
-server* (:class:`~repro.server.app.SwapServer`) in its own process:
+Each shard of ``repro-swaps serve --replicas N`` is a full local-role
+server (:class:`~repro.server.app.SwapServer`) in its own process:
 its own ``SwapService``, its own surface/cache/engine chain, its own
 GIL. The router process never solves anything -- scale-out is real
 processes, not threads.
@@ -92,7 +92,7 @@ def replica_command(config: ServerConfig, cache_dir: Optional[str]) -> List[str]
 
 
 class ReplicaProcess:
-    """One shard: a threaded ``SwapServer`` subprocess on loopback."""
+    """One shard: a local-role ``SwapServer`` subprocess on loopback."""
 
     def __init__(self, name: str, config: ServerConfig) -> None:
         self.name = name

@@ -1,7 +1,7 @@
 """Keyspace routing for the sharded tier: hash ring + routing keys.
 
-Two pure, synchronous pieces the asyncio front end
-(:mod:`repro.server.aio`) composes:
+Two pure, synchronous pieces the router role of the front end
+(:class:`repro.server.aio.RouterServer`) composes:
 
 * :class:`HashRing` -- consistent hashing with virtual nodes. Each
   replica owns many pseudo-random points on a 64-bit circle; a key is
@@ -18,8 +18,8 @@ Two pure, synchronous pieces the asyncio front end
   the whole point of sharding by key. Requests the router cannot
   canonicalise (malformed JSON, unknown fields) still route
   *deterministically* by a digest of the raw bytes; the replica then
-  produces the authoritative error envelope, keeping router and
-  threaded server byte-identical on rejects.
+  produces the authoritative error envelope, so a reject reads the
+  same through the router as from the replica itself.
 
 Hashing uses BLAKE2b (stdlib, keyed-length 8) rather than Python's
 ``hash()`` -- ring placement must be stable across processes and runs

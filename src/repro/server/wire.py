@@ -1,9 +1,10 @@
-"""The typed v1 wire schema: every byte either front end may emit.
+"""The typed v1 wire schema: every byte the HTTP front end may emit.
 
 This module is the single source of truth for the HTTP API's shapes.
-Both front ends -- the threaded :mod:`repro.server.app` and the
-sharded asyncio tier of :mod:`repro.server.aio` -- build their
-responses through the frozen dataclasses here, and
+Both roles of the event-loop front end (:mod:`repro.server.aio`) --
+the local :class:`~repro.server.app.SwapServer` and the proxying
+:class:`~repro.server.aio.RouterServer` -- build their responses
+through the frozen dataclasses here, and
 :class:`~repro.server.client.SwapClient` parses replies back through
 the same types, so old and new servers provably speak one format.
 
@@ -29,9 +30,10 @@ clients: :mod:`repro.server.client` retries exactly when the status is
 429/503 or the envelope says so.
 
 The transport-error *constructors* (:func:`queue_full_error`,
-:func:`body_too_large_error`, ...) exist so the two front ends shed
-load with byte-identical envelopes -- the parity suite
-(``tests/server/test_aio_parity.py``) holds them to it.
+:func:`body_too_large_error`, ...) are the only way either role words
+a refusal, so both shed load and reject malformed requests with the
+same bytes; the per-role raw-socket suite
+(``tests/server/test_aio_parity.py``) pins them.
 """
 
 from __future__ import annotations
@@ -54,6 +56,8 @@ __all__ = [
     "SweepReply",
     "not_found_error",
     "method_not_allowed_error",
+    "malformed_head_error",
+    "header_too_large_error",
     "chunked_body_error",
     "missing_length_error",
     "malformed_length_error",
@@ -83,6 +87,7 @@ STATUS_BY_CODE: Dict[str, int] = {
     "method_not_allowed": 405,
     "length_required": 411,
     "body_too_large": 413,
+    "header_too_large": 431,
     "queue_full": 429,
     "unauthorized": 403,
     "conflict": 409,
@@ -328,7 +333,7 @@ class SweepReply:
 
 
 # ---------------------------------------------------------------------- #
-# transport-error constructors (shared by both front ends)
+# transport-error constructors (shared by both roles)
 # ---------------------------------------------------------------------- #
 
 
@@ -341,6 +346,21 @@ def method_not_allowed_error(method: str, path: str) -> ServiceErrorInfo:
     """405: known path, wrong verb."""
     return ServiceErrorInfo(
         code="method_not_allowed", message=f"{method} not allowed on {path}"
+    )
+
+
+def malformed_head_error(detail: str) -> ServiceErrorInfo:
+    """400: a request line or header the parser refuses (RFC 9112)."""
+    return ServiceErrorInfo(
+        code="invalid_request", message=f"malformed request head: {detail}"
+    )
+
+
+def header_too_large_error(limit: int) -> ServiceErrorInfo:
+    """431: the request head outgrew the parser's buffer."""
+    return ServiceErrorInfo(
+        code="header_too_large",
+        message=f"request head exceeds {limit} bytes",
     )
 
 

@@ -1,6 +1,6 @@
 """The router's authenticated admin surface: live resharding.
 
-Runs the real asyncio router over real threaded replicas (static
+Runs the real router over real local-role replicas (static
 endpoints, so no subprocess cold starts) and exercises the control
 plane end to end: bearer auth, the topology document, url-mode add and
 two-phase remove under traffic, conflict races, the
@@ -51,7 +51,7 @@ def _pstars_homing_on(router, name: str, count: int = 3):
 
 @pytest.fixture()
 def admin_sharded(make_server):
-    """A router (admin surface on) over two threaded replicas."""
+    """A router (admin surface on) over two local-role replicas."""
 
     routers = []
 
@@ -109,7 +109,7 @@ class TestAdminAuth:
         router, client = admin_sharded()
         # fill the gate to the brim; the control plane must still answer
         for _ in range(router.config.queue_depth):
-            assert router.gate.try_enter()
+            assert router.gate.admit("/v1/solve") is None
         try:
             assert client.admin_topology()["ok"] is True
         finally:

@@ -1,37 +1,60 @@
-"""Byte-for-byte parity: asyncio router vs threaded server.
+"""The wire contract of the one HTTP front end, per role, over raw sockets.
 
-The sharded tier's contract is that clients cannot tell the two front
-ends apart on the wire: same envelopes, same status taxonomy, same
-headers that matter (``Content-Type``, ``Retry-After``), same body
-bytes. This suite drives *raw sockets* (no client-library smoothing)
-through a fresh threaded server and a fresh router-over-one-replica --
-one replica so both stacks traverse identical cache states -- and
-compares every response.
-
-Known, deliberate divergences (asserted nowhere, documented here):
-``Server``/``Date`` headers name the responding program, and HTTP
-methods beyond GET/POST get the stdlib's HTML 501 from the threaded
-server but a typed 405 envelope from the router (the router is
-stricter, not looser).
+Both roles -- a local :class:`SwapServer` and a :class:`RouterServer`
+over one in-process replica -- run one request pipeline, so parity
+between them holds by construction. This suite drives *raw sockets*
+(no client-library smoothing) and pins the exact bytes every role must
+send: status, body, ``Content-Type`` and ``Retry-After`` for the happy
+paths (rendered by a fresh in-process service), the error taxonomy,
+load shedding, and the framing rules for malformed, oversized and
+unfinished requests (RFC 9112). The ``Server`` header is asserted
+nowhere.
 """
 
 from __future__ import annotations
 
 import json
 import socket
+import threading
+import time
+import urllib.request
 from typing import Dict, Optional, Tuple
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.server import RouterServer, ServerConfig
+from repro.obs.logging import JsonLinesLogger, set_logger
+from repro.server import RouterServer, ServerConfig, aio
+from repro.server.wire import (
+    DeadlineExceededError,
+    ResultReply,
+    SweepReply,
+    body_too_large_error,
+    chunked_body_error,
+    deadline_message,
+    envelope_bytes,
+    header_too_large_error,
+    malformed_head_error,
+    malformed_length_error,
+    method_not_allowed_error,
+    missing_length_error,
+    not_found_error,
+    queue_full_error,
+)
+from repro.service.api import SwapService
+from repro.service.errors import ServiceErrorInfo
+from repro.service.jsonl import render_records, serve_lines
+from repro.service.requests import parse_request
 from tests.server.conftest import GatedService, make_server  # noqa: F401
 
-PARITY_CONFIG = dict(
+CONFIG = dict(
     queue_depth=8,
     max_body_bytes=4096,
     deadline=30.0,
     workers=1,
 )
+ROLES = ("local", "router")
 
 
 def exchange(
@@ -62,6 +85,25 @@ def exchange(
         return status, headers, body
 
 
+def read_to_close(port: int, raw: bytes, timeout: float) -> Tuple[bytes, float]:
+    """Send ``raw``, read until the server closes; ``(bytes, seconds)``.
+
+    A server that holds the socket past ``timeout`` fails the test.
+    """
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
+        sock.sendall(raw)
+        started = time.monotonic()
+        data = b""
+        while True:
+            try:
+                chunk = sock.recv(65536)
+            except socket.timeout:
+                raise AssertionError(f"socket still open after {timeout}s: {data!r}")
+            if not chunk:
+                return data, time.monotonic() - started
+            data += chunk
+
+
 def request_bytes(
     method: str,
     target: str,
@@ -79,211 +121,434 @@ def request_bytes(
     return "\r\n".join(lines).encode("latin-1") + b"\r\n" + (body or b"")
 
 
-@pytest.fixture()
-def both_stacks(make_server):
-    """(threaded_port, router_port): identical configs, fresh states."""
-    threaded = make_server(**PARITY_CONFIG)
-    replica = make_server(**PARITY_CONFIG)
+def rendered(payload: object) -> bytes:
+    return json.dumps(payload, separators=(",", ":")).encode("utf-8")
+
+
+def envelope(info: ServiceErrorInfo) -> bytes:
+    return envelope_bytes(info)[1]
+
+
+def start_role(
+    role: str, make_server, service=None, **config
+) -> Tuple[int, Optional[RouterServer]]:
+    """A fresh server of ``role``: ``(port, router or None)``."""
+    server = make_server(service=service, **config)
+    if role == "local":
+        return server.port, None
     router = RouterServer(
-        ServerConfig(port=0, **PARITY_CONFIG),
-        endpoints=[(replica.host, replica.port)],
+        ServerConfig(port=0, **config), endpoints=[(server.host, server.port)]
     ).start()
-    yield threaded.port, router.port
-    router.shutdown(drain=False)
+    return router.port, router
 
 
-def assert_parity(ports, raw: bytes, expect_status: Optional[int] = None):
-    """Send ``raw`` to both stacks; the responses must agree."""
-    threaded_port, router_port = ports
-    t_status, t_headers, t_body = exchange(threaded_port, raw)
-    r_status, r_headers, r_body = exchange(router_port, raw)
-    assert (r_status, r_body) == (t_status, t_body)
-    assert r_headers.get("content-type") == t_headers.get("content-type")
-    assert r_headers.get("retry-after") == t_headers.get("retry-after")
-    if expect_status is not None:
-        assert t_status == expect_status
-    return t_status, t_body
+@pytest.fixture()
+def roles(make_server):
+    """``{role: port}`` for both roles: identical configs, fresh states."""
+    ports, routers = {}, []
+    for role in ROLES:
+        ports[role], router = start_role(role, make_server, **CONFIG)
+        routers.append(router)
+    yield ports
+    for router in routers:
+        if router is not None:
+            router.shutdown(drain=False)
+
+
+@pytest.fixture(params=ROLES)
+def role_port(request, make_server):
+    """The port of one fresh server per role."""
+    port, router = start_role(request.param, make_server, **CONFIG)
+    yield port
+    if router is not None:
+        router.shutdown(drain=False)
+
+
+def assert_reply(
+    ports: Dict[str, int],
+    raw: bytes,
+    status: int,
+    body: bytes,
+    content_type: str = "application/json",
+    retry_after: Optional[str] = None,
+) -> None:
+    """Send ``raw`` to every role; each must answer exactly this."""
+    for role, port in ports.items():
+        got = exchange(port, raw)
+        assert (got[0], got[2]) == (status, body), role
+        assert got[1].get("content-type") == content_type, role
+        assert got[1].get("retry-after") == retry_after, role
 
 
 SOLVE = json.dumps({"pstar": 2.0, "collateral": 0.0}).encode()
 
 
 class TestHappyPathParity:
-    def test_solve_cold_then_cached(self, both_stacks):
+    def test_solve_cold_then_cached(self, roles):
+        reference = SwapService(max_workers=1)
+        request = parse_request({"kind": "solve", "pstar": 2.0, "collateral": 0.0})
         raw = request_bytes("POST", "/v1/solve", SOLVE)
-        _status, first = assert_parity(both_stacks, raw, 200)
-        assert json.loads(first)["cached"] is False
-        _status, second = assert_parity(both_stacks, raw, 200)
-        assert json.loads(second)["cached"] is True
+        for cached in (False, True):
+            item = reference.run_batch([request])[0]
+            assert item.cached is cached
+            expected = rendered(ResultReply.from_item("solve", item).to_dict())
+            assert_reply(roles, raw, 200, expected)
 
-    def test_validate(self, both_stacks):
-        body = json.dumps(
-            {"pstar": 2.0, "n_paths": 500, "seed": 11}
-        ).encode()
-        raw = request_bytes("POST", "/v1/validate", body)
-        _status, reply = assert_parity(both_stacks, raw, 200)
-        assert json.loads(reply)["kind"] == "validate"
+    def test_validate(self, roles):
+        data = {"pstar": 2.0, "n_paths": 500, "seed": 11}
+        item = SwapService(max_workers=1).run_batch(
+            [parse_request({"kind": "validate", **data})]
+        )[0]
+        raw = request_bytes("POST", "/v1/validate", json.dumps(data).encode())
+        expected = rendered(ResultReply.from_item("validate", item).to_dict())
+        assert_reply(roles, raw, 200, expected)
 
-    def test_sweep(self, both_stacks):
-        raw = request_bytes(
-            "GET", "/v1/sweep?pstars=1.5,2.0,2.5&collateral=0.0"
-        )
-        _status, reply = assert_parity(both_stacks, raw, 200)
-        assert json.loads(reply)["count"] == 3
+    def test_sweep(self, roles):
+        pstars = [1.5, 2.0, 2.5]
+        items = SwapService(max_workers=1).sweep(pstars, collateral=0.0)
+        raw = request_bytes("GET", "/v1/sweep?pstars=1.5,2.0,2.5&collateral=0.0")
+        expected = rendered(SweepReply.from_items(pstars, items).to_dict())
+        assert_reply(roles, raw, 200, expected)
 
-    def test_batch(self, both_stacks):
+    def test_batch(self, roles):
         lines = b'{"pstar": 1.8}\n{"pstar": 2.2}\n'
+        _ok, records = serve_lines(
+            SwapService(max_workers=1), lines.decode().splitlines()
+        )
         raw = request_bytes(
             "POST",
             "/v1/batch",
             lines,
             headers={"Content-Type": "application/x-ndjson"},
         )
-        status, reply = assert_parity(both_stacks, raw, 200)
-        assert len(reply.splitlines()) == 2
+        expected = render_records(records).encode("utf-8")
+        assert len(expected.splitlines()) == 2
+        assert_reply(roles, raw, 200, expected, "application/x-ndjson")
 
-    def test_ops_healthz(self, both_stacks):
+    def test_ops_healthz(self, roles):
         raw = request_bytes("GET", "/healthz")
-        assert_parity(both_stacks, raw, 200)
+        assert_reply(roles, raw, 200, b'{"ok":true,"status":"alive"}')
 
 
 class TestErrorTaxonomyParity:
-    def test_unknown_path_404(self, both_stacks):
-        _status, body = assert_parity(
-            both_stacks, request_bytes("GET", "/nope"), 404
-        )
-        assert json.loads(body)["error"]["code"] == "not_found"
+    def test_unknown_path_404(self, roles):
+        raw = request_bytes("GET", "/nope")
+        assert_reply(roles, raw, 404, envelope(not_found_error("/nope")))
 
-    def test_wrong_method_405(self, both_stacks):
-        _status, body = assert_parity(
-            both_stacks, request_bytes("GET", "/v1/solve"), 405
-        )
-        assert json.loads(body)["error"]["code"] == "method_not_allowed"
-        assert_parity(
-            both_stacks, request_bytes("POST", "/v1/sweep", b"{}"), 405
-        )
+    def test_wrong_method_405(self, roles):
+        raw = request_bytes("GET", "/v1/solve")
+        expected = envelope(method_not_allowed_error("GET", "/v1/solve"))
+        assert_reply(roles, raw, 405, expected)
+        raw = request_bytes("POST", "/v1/sweep", b"{}")
+        expected = envelope(method_not_allowed_error("POST", "/v1/sweep"))
+        assert_reply(roles, raw, 405, expected)
 
-    def test_unparseable_json_400(self, both_stacks):
-        _status, body = assert_parity(
-            both_stacks,
-            request_bytes("POST", "/v1/solve", b"not json"),
-            400,
+    def test_unparseable_json_400(self, roles):
+        raw = request_bytes("POST", "/v1/solve", b"not json")
+        expected = envelope(
+            ServiceErrorInfo(
+                code="parse_error",
+                message="Expecting value: line 1 column 1 (char 0)",
+            )
         )
-        error = json.loads(body)["error"]
-        assert error["code"] == "parse_error"
-        assert error["retryable"] is False
+        assert_reply(roles, raw, 400, expected)
 
-    def test_invalid_request_400(self, both_stacks):
+    def test_invalid_request_400(self, roles):
         raw = request_bytes(
             "POST", "/v1/solve", json.dumps({"pstar": -3.0}).encode()
         )
-        _status, body = assert_parity(both_stacks, raw, 400)
-        assert json.loads(body)["error"]["code"] == "invalid_request"
+        expected = envelope(
+            ServiceErrorInfo(
+                code="invalid_request",
+                message="pstar must be finite and > 0, got -3.0",
+            )
+        )
+        assert_reply(roles, raw, 400, expected)
 
-    def test_missing_content_length_411(self, both_stacks):
+    def test_missing_content_length_411(self, roles):
         raw = (
             b"POST /v1/solve HTTP/1.1\r\nHost: parity\r\n"
             b"Content-Type: application/json\r\nConnection: close\r\n\r\n"
         )
-        _status, body = assert_parity(both_stacks, raw, 411)
-        assert json.loads(body)["error"]["code"] == "length_required"
+        assert_reply(roles, raw, 411, envelope(missing_length_error()))
 
-    def test_chunked_body_411(self, both_stacks):
+    def test_chunked_body_411(self, roles):
         raw = (
             b"POST /v1/solve HTTP/1.1\r\nHost: parity\r\n"
             b"Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n"
             b"0\r\n\r\n"
         )
-        assert_parity(both_stacks, raw, 411)
+        assert_reply(roles, raw, 411, envelope(chunked_body_error()))
 
-    def test_malformed_content_length_411(self, both_stacks):
+    def test_malformed_content_length_411(self, roles):
         raw = (
             b"POST /v1/solve HTTP/1.1\r\nHost: parity\r\n"
             b"Content-Length: banana\r\nConnection: close\r\n\r\n"
         )
-        _status, body = assert_parity(both_stacks, raw, 411)
-        assert json.loads(body)["error"]["code"] == "length_required"
+        assert_reply(roles, raw, 411, envelope(malformed_length_error("banana")))
 
-    def test_body_too_large_413(self, both_stacks):
-        huge = b"x" * (PARITY_CONFIG["max_body_bytes"] + 1)
-        raw = request_bytes("POST", "/v1/solve", huge)
-        _status, body = assert_parity(both_stacks, raw, 413)
-        error = json.loads(body)["error"]
-        assert error["code"] == "body_too_large"
-        assert str(PARITY_CONFIG["max_body_bytes"]) in error["message"]
+    def test_body_too_large_413(self, roles):
+        limit = CONFIG["max_body_bytes"]
+        raw = request_bytes("POST", "/v1/solve", b"x" * (limit + 1))
+        expected = envelope(body_too_large_error(limit + 1, limit))
+        assert_reply(roles, raw, 413, expected)
+
+    def test_other_methods_get_the_typed_405(self, role_port):
+        raw = request_bytes("PUT", "/v1/solve", SOLVE)
+        status, headers, body = exchange(role_port, raw)
+        assert status == 405
+        assert headers["content-type"] == "application/json"
+        assert body == envelope(method_not_allowed_error("PUT", "/v1/solve"))
+
+
+def saturate(port: int, gate: GatedService, raw: bytes):
+    """Hold one gated request in flight, then exchange ``raw``."""
+    blocker = threading.Thread(
+        target=lambda: urllib.request.urlopen(
+            urllib.request.Request(
+                f"http://127.0.0.1:{port}/v1/solve",
+                data=SOLVE,
+                headers={"Content-Type": "application/json"},
+            ),
+            timeout=30,
+        ),
+        daemon=True,
+    )
+    blocker.start()
+    assert gate.started.wait(timeout=10.0)
+    try:
+        return exchange(port, raw)
+    finally:
+        gate.release.set()
+        blocker.join(timeout=30.0)
 
 
 class TestLoadSheddingParity:
     def test_queue_full_429_bytes_match(self, make_server):
-        """Saturate both stacks (depth 1, a gated in-flight request);
-        the second request's 429 must match byte-for-byte."""
-        import threading
-        import urllib.request
-
-        config = dict(PARITY_CONFIG, queue_depth=1)
-
-        def saturated_429(port: int, gate: GatedService):
-            raw = request_bytes("POST", "/v1/solve", SOLVE)
-            blocker = threading.Thread(
-                target=lambda: urllib.request.urlopen(
-                    urllib.request.Request(
-                        f"http://127.0.0.1:{port}/v1/solve",
-                        data=SOLVE,
-                        headers={"Content-Type": "application/json"},
-                    ),
-                    timeout=30,
-                ),
-                daemon=True,
-            )
-            blocker.start()
-            assert gate.started.wait(timeout=10.0)
-            outcome = exchange(port, raw)
-            gate.release.set()
-            blocker.join(timeout=30.0)
-            return outcome
-
-        gate_threaded = GatedService()
-        threaded = make_server(service=gate_threaded, **config)
-        t_status, t_headers, t_body = saturated_429(
-            threaded.port, gate_threaded
-        )
-
-        gate_replica = GatedService()
-        replica = make_server(service=gate_replica, **config)
-        router = RouterServer(
-            ServerConfig(port=0, **config),
-            endpoints=[(replica.host, replica.port)],
-        ).start()
-        try:
-            r_status, r_headers, r_body = saturated_429(
-                router.port, gate_replica
-            )
-        finally:
-            router.shutdown(drain=False)
-
-        assert (t_status, t_body) == (429, r_body) == (r_status, t_body)
-        assert t_headers.get("retry-after") == r_headers.get("retry-after") == "1"
+        """Saturate each role (depth 1, a gated in-flight request); the
+        next request's 429 is the typed queue_full envelope."""
+        config = dict(CONFIG, queue_depth=1)
+        raw = request_bytes("POST", "/v1/solve", SOLVE)
+        for role in ROLES:
+            gate = GatedService()
+            port, router = start_role(role, make_server, gate, **config)
+            try:
+                status, headers, body = saturate(port, gate, raw)
+            finally:
+                if router is not None:
+                    router.shutdown(drain=False)
+            assert (status, body) == (429, envelope(queue_full_error(1))), role
+            assert headers.get("retry-after") == "1", role
 
     def test_deadline_504_bytes_match(self, make_server):
-        config = dict(PARITY_CONFIG, deadline=0.02)
-        gate_threaded = GatedService()
-        threaded = make_server(service=gate_threaded, **config)
-        gate_replica = GatedService()
-        replica = make_server(service=gate_replica, **config)
-        router = RouterServer(
-            ServerConfig(port=0, **config),
-            endpoints=[(replica.host, replica.port)],
-        ).start()
+        config = dict(CONFIG, deadline=0.02)
+        expected = envelope(
+            ServiceErrorInfo.from_exception(
+                DeadlineExceededError(deadline_message(0.02))
+            )
+        )
         raw = request_bytes("POST", "/v1/solve", SOLVE)
+        for role in ROLES:
+            gate = GatedService()
+            port, router = start_role(role, make_server, gate, **config)
+            try:
+                # never release the gate: the request must deadline out
+                status, _headers, body = exchange(port, raw)
+            finally:
+                gate.release.set()
+                if router is not None:
+                    router.shutdown(drain=False)
+            assert (status, body) == (504, expected), role
+            assert json.loads(body)["error"]["retryable"] is True
+
+
+class TestFraming:
+    """Malformed or unfinished requests: a typed 4xx, or a clean close
+    at the read bound -- never a hang, a 5xx or a smuggled request."""
+
+    def test_conflicting_content_length_is_400_then_close(self, role_port):
+        raw = (
+            b"POST /v1/solve HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: 14\r\nContent-Length: 2\r\n\r\n" + SOLVE
+        )
+        data, _seconds = read_to_close(role_port, raw, timeout=10.0)
+        expected = envelope(
+            malformed_head_error("conflicting Content-Length headers")
+        )
+        # exactly one response: the 12 trailing body bytes never parse
+        # as a second request
+        assert data.count(b"HTTP/1.1 ") == 1
+        assert data.startswith(b"HTTP/1.1 400 ")
+        assert b"\r\nConnection: close\r\n" in data
+        assert data.endswith(b"\r\n\r\n" + expected)
+
+    def test_whitespace_before_colon_is_400(self, role_port):
+        raw = (
+            b"POST /v1/solve HTTP/1.1\r\nHost: x\r\nContent-Length : 14\r\n\r\n"
+            + SOLVE
+        )
+        data, _seconds = read_to_close(role_port, raw, timeout=10.0)
+        expected = envelope(
+            malformed_head_error("bad header line 'Content-Length : 14'")
+        )
+        assert data.startswith(b"HTTP/1.1 400 ")
+        assert data.endswith(b"\r\n\r\n" + expected)
+
+    def test_unparseable_request_line_is_400(self, role_port):
+        data, _seconds = read_to_close(role_port, b"GARBAGE\r\n\r\n", timeout=10.0)
+        expected = envelope(malformed_head_error("bad request line 'GARBAGE'"))
+        assert data.startswith(b"HTTP/1.1 400 ")
+        assert data.endswith(b"\r\n\r\n" + expected)
+
+    def test_oversized_head_is_431(self, role_port):
+        raw = b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n"
+        data, _seconds = read_to_close(role_port, raw, timeout=10.0)
+        expected = envelope(header_too_large_error(65536))
+        assert data.startswith(b"HTTP/1.1 431 ")
+        assert data.endswith(b"\r\n\r\n" + expected)
+
+    def test_unfinished_head_closes_at_the_read_bound(self, role_port, monkeypatch):
+        monkeypatch.setattr(aio, "READ_TIMEOUT", 0.5)
+        data, seconds = read_to_close(
+            role_port, b"GET /healthz HTTP/1.1\r\nHost: x\r\n", timeout=10.0
+        )
+        assert data == b""
+        assert 0.4 <= seconds < 5.0
+
+    def test_unfinished_body_closes_at_the_read_bound(self, role_port, monkeypatch):
+        monkeypatch.setattr(aio, "READ_TIMEOUT", 0.5)
+        raw = b"POST /v1/solve HTTP/1.1\r\nHost: x\r\nContent-Length: 14\r\n\r\n{"
+        data, seconds = read_to_close(role_port, raw, timeout=10.0)
+        assert data == b""
+        assert 0.4 <= seconds < 5.0
+
+    def test_connection_close_closes_the_socket(self, role_port):
+        raw = b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+        # the default 60 s read bound: only an honoured close ends early
+        data, seconds = read_to_close(role_port, raw, timeout=10.0)
+        assert data.startswith(b"HTTP/1.1 200 ")
+        assert b"\r\nConnection: close\r\n" in data
+        assert seconds < 5.0
+
+    def test_keep_alive_serves_requests_back_to_back(self, role_port):
+        one = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+        data, _seconds = read_to_close(
+            role_port,
+            one + one + b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+            timeout=10.0,
+        )
+        assert data.count(b"HTTP/1.1 200 OK\r\n") == 3
+
+
+class TestAccessLog:
+    def test_http_access_names_the_peer(self, role_port):
+        logger = JsonLinesLogger()
+        previous = set_logger(logger)
+        target = f"/healthz?probe={time.monotonic_ns()}"  # this request only
         try:
-            # never release the gates: both requests must deadline out
-            t_status, _h, t_body = exchange(threaded.port, raw)
-            r_status, _h, r_body = exchange(router.port, raw)
+            exchange(role_port, request_bytes("GET", target))
+            # the event is logged once the reply is written: wait for it
+            deadline = time.monotonic() + 5.0
+            while target not in logger.getvalue() and time.monotonic() < deadline:
+                time.sleep(0.01)
         finally:
-            gate_threaded.release.set()
-            gate_replica.release.set()
-            router.shutdown(drain=False)
-        assert (t_status, t_body) == (504, r_body) == (r_status, t_body)
-        error = json.loads(t_body)["error"]
-        assert error["code"] == "deadline_exceeded"
-        assert error["retryable"] is True
+            set_logger(previous)
+        events = [json.loads(line) for line in logger.getvalue().splitlines()]
+        access = [e for e in events if e.get("path") == target]
+        assert [(e["event"], e["route"]) for e in access] == [
+            ("http_access", "/healthz")
+        ]
+        assert access[0]["client"] == "127.0.0.1"
+
+
+_NAME = st.text(
+    alphabet="abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-",
+    min_size=1,
+    max_size=12,
+)
+_DEFECTS = (
+    "no_version", "bad_version", "double_space", "control_in_target",
+    "space_before_colon", "no_colon", "obs_fold", "conflicting_length",
+    "unfinished_head", "unfinished_body",
+)
+
+
+@st.composite
+def malformed_requests(draw) -> Tuple[bytes, bool]:
+    """``(raw, unfinished)``: a request with exactly one framing defect,
+    and whether that defect is a head or body that never completes."""
+    method, target = draw(
+        st.sampled_from(
+            [
+                ("GET", "/healthz"),
+                ("GET", "/v1/sweep?pstars=2.0"),
+                ("POST", "/v1/solve"),
+                ("POST", "/v1/batch"),
+                ("DELETE", "/nope"),
+            ]
+        )
+    )
+    body = SOLVE if method == "POST" else b""
+    request_line = f"{method} {target} HTTP/1.1"
+    headers = ["Host: fuzz", f"Content-Length: {len(body)}"]
+    at = draw(st.integers(0, len(headers)))
+    defect = draw(st.sampled_from(_DEFECTS))
+    if defect == "no_version":
+        request_line = f"{method} {target}"
+    elif defect == "bad_version":
+        version = draw(st.sampled_from(["HTTP/0.9", "HTTP/2.0", "HTTP/1.2", "http/1.1"]))
+        request_line = f"{method} {target} {version}"
+    elif defect == "double_space":
+        request_line = f"{method}  {target} HTTP/1.1"
+    elif defect == "control_in_target":
+        control = draw(st.sampled_from(["\x00", "\x07", "\t", "\x1b", "\x7f"]))
+        request_line = f"{method} {target}{control} HTTP/1.1"
+    elif defect == "space_before_colon":
+        space = draw(st.sampled_from([" ", "\t", "  "]))
+        headers.insert(at, f"{draw(_NAME)}{space}: {draw(_NAME)}")
+    elif defect == "no_colon":
+        headers.insert(at, draw(_NAME))
+    elif defect == "obs_fold":
+        headers.insert(at, f" {draw(_NAME)}")
+    elif defect == "conflicting_length":
+        headers.append(f"Content-Length: {len(body) + draw(st.integers(1, 64))}")
+    head = "\r\n".join([request_line, *headers]).encode("latin-1")
+    if defect == "unfinished_head":
+        return head + b"\r\n", True
+    if defect == "unfinished_body":
+        short = draw(st.integers(1, 64))
+        return (
+            b"POST /v1/solve HTTP/1.1\r\nHost: fuzz\r\n"
+            + f"Content-Length: {len(SOLVE) + short}\r\n\r\n".encode()
+            + SOLVE
+        ), True
+    return head + b"\r\n\r\n" + body, False
+
+
+class TestMalformedHeadProperty:
+    @settings(
+        derandomize=True,
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(case=malformed_requests())
+    def test_typed_4xx_or_clean_close_within_the_bound(
+        self, role_port, monkeypatch, case
+    ):
+        raw, unfinished = case
+        bound = 0.5
+        monkeypatch.setattr(aio, "READ_TIMEOUT", bound)
+        data, seconds = read_to_close(role_port, raw, timeout=bound + 5.0)
+        assert seconds < bound + 2.0
+        if unfinished:
+            assert data == b""  # a clean close at the read bound
+            return
+        head, _sep, body = data.partition(b"\r\n\r\n")
+        status = int(head.split(b" ", 2)[1])
+        assert 400 <= status < 500, data
+        assert b"\r\nConnection: close" in head
+        error = json.loads(body)["error"]
+        assert json.loads(body)["ok"] is False
+        assert error["retryable"] is False
+        assert isinstance(error["code"], str) and error["message"]

@@ -1,7 +1,7 @@
 """The replica-aware client: discovery, fail-over, breakers, hedging.
 
-Real sockets throughout: replicas are actual threaded servers, the
-router (when used) is the actual asyncio front end. Hedging timing is
+Real sockets throughout: replicas are actual local-role servers, the
+router (when used) is the actual proxy role. Hedging timing is
 driven through :class:`HedgePolicy`'s injectable delay derivation, not
 sleeps in the product code.
 """

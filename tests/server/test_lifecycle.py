@@ -225,3 +225,50 @@ class TestSignals:
             if process.poll() is None:
                 process.kill()
                 process.wait(timeout=10.0)
+
+    def test_abandoned_call_does_not_hold_the_exit(self, tmp_path):
+        """A call hung past its deadline answers 504; the drained process
+        then exits at once instead of waiting out the hung call."""
+        plan = tmp_path / "hang.json"
+        plan.write_text(
+            json.dumps(
+                {
+                    "seed": 0,
+                    "faults": [
+                        {
+                            "kind": "worker_hang",
+                            "match": '"pstar":3.25',
+                            "delay": 30.0,
+                            "count": 1,
+                        }
+                    ],
+                }
+            ),
+            encoding="utf-8",
+        )
+        process = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+                "--deadline", "0.5", "--fault-plan", str(plan),
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": "src"},
+            cwd=os.path.dirname(os.path.dirname(os.path.dirname(__file__))),
+        )
+        try:
+            port = json.loads(process.stdout.readline())["port"]
+            status, _headers, raw = _post_no_retry(
+                port, "/v1/solve", b'{"pstar": 3.25}'
+            )
+            assert status == 504
+            assert json.loads(raw)["error"]["code"] == "deadline_exceeded"
+            process.send_signal(signal.SIGTERM)
+            signalled = time.monotonic()
+            assert process.wait(timeout=30.0) == 0
+            assert time.monotonic() - signalled < 5.0
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait(timeout=10.0)

@@ -3,8 +3,8 @@
 The ring tests pin the two properties sharding relies on: stable,
 cross-process key placement (BLAKE2b, not ``hash()``) and *keyslice
 stability* -- removing one replica re-homes only the keys it owned.
-The RouterServer tests run the real asyncio front end over real
-in-process threaded servers and exercise the ``replica_down`` chaos
+The RouterServer tests run the real router over real in-process
+local-role servers and exercise the ``replica_down`` chaos
 kind: the router must heal by re-routing, invisibly to the caller.
 """
 
@@ -120,7 +120,7 @@ class TestRoutingKey:
 
 @pytest.fixture()
 def sharded(make_server):
-    """A router over two real threaded replicas; yields (router, client)."""
+    """A router over two real local-role replicas; yields (router, client)."""
     from repro.server.client import RetryPolicy, SwapClient
 
     def _make(router_config=None, **replica_kwargs):

@@ -1,8 +1,8 @@
-"""``POST /v1/swap-graph`` over both stacks, plus active health probes.
+"""``POST /v1/swap-graph`` on both roles, plus active health probes.
 
 The swap-graph route must behave exactly like the older result routes:
-typed envelopes, cache semantics, byte parity between the threaded
-server and the asyncio router. The second half exercises the router's
+typed envelopes, cache semantics, and the same bytes from the local
+role and from the router. The second half exercises the router's
 active ``/readyz`` probe loop -- ejection of a replica that dies
 between requests, readmission when it comes back, and the
 ``repro_router_probe_total`` counter that makes both visible.
@@ -16,9 +16,12 @@ import time
 import pytest
 
 from repro.server import RouterServer, ServerConfig
+from repro.server.wire import ResultReply
+from repro.service.api import SwapService
+from repro.service.requests import parse_request
 from repro.swapgraph import SwapGraphResult, SwapGraphSpec
 from tests.server.conftest import make_client, make_server  # noqa: F401
-from tests.server.test_aio_parity import exchange, request_bytes
+from tests.server.test_aio_parity import exchange, rendered, request_bytes
 
 CYCLE = SwapGraphSpec.cycle(3).to_dict()
 GRAPH_BODY = json.dumps(
@@ -75,29 +78,30 @@ class TestThreadedRoute:
 class TestRouterParity:
     @pytest.fixture()
     def both_stacks(self, make_server):
-        threaded = make_server()
+        """``(local_port, router_port)``: fresh caches on both roles."""
+        local = make_server()
         replica = make_server()
         router = RouterServer(
             ServerConfig(port=0), endpoints=[(replica.host, replica.port)]
         ).start()
-        yield threaded.port, router.port
+        yield local.port, router.port
         router.shutdown(drain=False)
 
     def test_swap_graph_byte_parity(self, both_stacks):
-        threaded_port, router_port = both_stacks
+        reference = SwapService(max_workers=1)
+        request = parse_request(json.loads(GRAPH_BODY))
         raw = request_bytes("POST", "/v1/swap-graph", GRAPH_BODY)
         for expect_cached in (False, True):
-            t_status, t_headers, t_body = exchange(threaded_port, raw)
-            r_status, r_headers, r_body = exchange(router_port, raw)
-            assert (r_status, r_body) == (t_status, t_body)
-            assert r_headers.get("content-type") == t_headers.get(
-                "content-type"
-            )
-            assert t_status == 200
-            assert json.loads(t_body)["cached"] is expect_cached
+            item = reference.run_batch([request])[0]
+            assert item.cached is expect_cached
+            expected = rendered(ResultReply.from_item("swap_graph", item).to_dict())
+            for port in both_stacks:
+                status, headers, body = exchange(port, raw)
+                assert (status, body) == (200, expected)
+                assert headers.get("content-type") == "application/json"
 
     def test_router_counts_swap_graph_requests(self, both_stacks):
-        _threaded_port, router_port = both_stacks
+        _local_port, router_port = both_stacks
         raw = request_bytes("POST", "/v1/swap-graph", GRAPH_BODY)
         status, _headers, _body = exchange(router_port, raw)
         assert status == 200
