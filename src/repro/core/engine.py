@@ -10,8 +10,18 @@ rate at a time. :class:`GridSolver` evaluates the entire grid at once:
 * one shared ``t1`` law (``params.law`` stepped over ``tau_a`` from
   ``p0``) and one Gauss--Legendre node set serve every point;
 * the ``t3`` thresholds, the ``t2`` scan grids, Bob's advantage
-  function, the endpoint roots, and all three ``t1`` quadratures are
-  computed as broadcast NumPy operations over the ``P*`` axis.
+  function, the endpoint roots, and the ``t1`` quadratures are computed
+  as broadcast NumPy operations over the ``P*`` axis;
+* the scan is *certified*: Bob's advantage is evaluated on every
+  ``_SCAN_BLOCK``-th column and its sign proven on the blocks between
+  them from the monotonicity of the transition pieces in the spot, so
+  only blocks near a root are evaluated in full, and the sign-change
+  brackets are exactly the full scan's (:meth:`GridSolver._certified_scan`);
+* one batched Chandrupatla refiner
+  (:func:`~repro.stochastic.rootfind.bisect_roots`) takes every bracket
+  to its root, and one quadrature pass integrates a stacked integrand --
+  both agents' ``t2`` continuation values, from one ``pieces`` call on
+  the nodes, and the success-rate survival term.
 
 Array layout convention (see DESIGN.md): the leading axis is always the
 ``P*`` grid (length ``n``); scan grids are ``(n, scan_points)``;
@@ -21,7 +31,9 @@ roots/intervals, and per-point results are recovered with
 ``np.bincount(rows, weights=..., minlength=n)`` scatter-adds. The
 kernels replicate the scalar formulas operation for operation, so the
 scalar solvers remain the single-point reference view -- parity is
-property-tested to ``|delta| <= 1e-9`` (``tests/core/test_grid_parity.py``).
+property-tested to ``|delta| <= 1e-9`` (``tests/core/test_grid_parity.py``);
+the only numerical difference is the refiner's (Chandrupatla vs Brent,
+~1e-12 at the region roots).
 
 Every solve lands in the active :mod:`repro.obs` registry:
 ``repro_grid_solves_total``, ``repro_grid_points`` (grid-size
@@ -56,6 +68,13 @@ __all__ = ["EquilibriumGrid", "GridSolver", "solve_grid", "feasible_regions_grid
 
 #: Grid-size histogram buckets (points per solve, powers of four).
 _POINTS_BUCKETS: Tuple[float, ...] = (1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0)
+
+#: Scan columns per certified block: Bob's advantage is evaluated on
+#: every ``_SCAN_BLOCK``-th column and bounded in between.
+_SCAN_BLOCK = 16
+
+#: A block bound proves a sign only if it clears ``_PROOF_MARGIN * x``.
+_PROOF_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -211,11 +230,12 @@ class GridSolver:
         exponent = (a.r - p.mu) * p.tau_b - a.r * (p.eps_b + 2.0 * p.tau_a)
         return math.exp(exponent) * pstars / (1.0 + a.alpha)
 
-    def _bob_t2_cont(self, x, k, bob_t3_cont):
-        """Eq. (21)/(35) kernel; ``k``/``bob_t3_cont`` broadcast against ``x``."""
+    def _bob_t2_cont(self, pieces, bob_t3_cont):
+        """Eq. (21)/(35) kernel from ``kernel_b.pieces(x, k3)``; per-point
+        constants broadcast against the pieces."""
         p = self.params
         b = p.bob
-        cdf, survival, partial_below = self._kernel_b.pieces(x, k)
+        cdf, survival, partial_below = pieces
         upper = survival * bob_t3_cont
         lower = math.exp(2.0 * (p.mu - b.r) * p.tau_b) * partial_below
         out = (upper + lower) * math.exp(-b.r * p.tau_b)
@@ -227,11 +247,12 @@ class GridSolver:
             out = out + (own_deposit + alices_deposit) * math.exp(-b.r * p.tau_b)
         return out
 
-    def _alice_t2_cont(self, x, k, alice_t3_stop):
-        """Eq. (20)/(35) kernel; per-point constants broadcast against ``x``."""
+    def _alice_t2_cont(self, x, pieces, alice_t3_stop):
+        """Eq. (20)/(35) kernel from ``kernel_b.pieces(x, k3)``; per-point
+        constants broadcast against ``x``."""
         p = self.params
         a = p.alice
-        cdf, survival, partial_below = self._kernel_b.pieces(x, k)
+        cdf, survival, partial_below = pieces
         mean = x * math.exp(p.mu * p.tau_b)
         partial_above = np.maximum(mean - partial_below, 0.0)
         upper = (1.0 + a.alpha) * math.exp((p.mu - a.r) * p.tau_b) * partial_above
@@ -245,6 +266,96 @@ class GridSolver:
                 * math.exp(-a.r * p.tau_b)
             )
         return out
+
+    def _bob_advantage(self, x, k, bob_t3_cont):
+        """Bob's ``t2`` advantage ``cont - stop`` at ``x``."""
+        return self._bob_t2_cont(self._kernel_b.pieces(x, k), bob_t3_cont) - x
+
+    def _certified_scan(self, grid, k3, bob_t3_cont):
+        """Bob's ``t2`` advantage on the scan grid, or its proven sign.
+
+        The advantage is evaluated exactly on every ``_SCAN_BLOCK``-th
+        column and the last; these split each row into blocks. From the
+        pieces ``(F, S, PB)`` of :meth:`_bob_t2_cont` it reads
+
+            ``A(x) = disc (S B + g PB) + Q disc (e1 + e2 F) - x``
+
+        with ``disc = e^{-r_b tau_b}``, ``g = e^{2 (mu - r_b) tau_b}``,
+        ``B = bob_t3_cont``, ``e1 = e^{-r_b tau_a}`` and
+        ``e2 = e^{-r_b (eps_b + tau_a)}``. Every registered kernel is
+        multiplicative (``P' = x R``), so as ``x`` grows ``S`` rises,
+        ``F`` falls and ``pi = PB / x`` falls. On a block ``[x_a, x_b]``,
+        with ``kappa(x) = disc g pi(x) - 1``, that gives
+
+            ``A <= disc S(x_b) B + max(x_a, x_b) kappa(x_a) + Q disc (e1 + e2 F(x_a))``
+            ``A >= disc S(x_a) B + min(x_a, x_b) kappa(x_b) + Q disc (e1 + e2 F(x_b))``
+
+        where ``max(x_a, x_b) kappa`` is the larger of ``x_a kappa`` and
+        ``x_b kappa`` (and ``min`` the smaller). A block whose upper
+        bound lies below ``-_PROOF_MARGIN x_b`` is negative throughout,
+        one whose lower bound lies above ``_PROOF_MARGIN x_b`` positive;
+        its interior columns then hold ``-1.0`` / ``1.0`` instead of a
+        value. Every other block is evaluated in full. The margin dwarfs
+        rounding, so a proven column's sign is the one the full
+        evaluation gives, and the sign-change brackets equal the full
+        scan's exactly; the refiner evaluates the bracket ends again.
+        """
+        p = self.params
+        b = p.bob
+        n_scan = grid.shape[1]
+        if n_scan < 2:
+            return self._bob_advantage(grid, k3[:, None], bob_t3_cont[:, None])
+        ends = np.unique(np.append(np.arange(0, n_scan, _SCAN_BLOCK), n_scan - 1))
+        x_end = grid[:, ends]
+        pieces = self._kernel_b.pieces(x_end, k3[:, None])
+        at_ends = self._bob_t2_cont(pieces, bob_t3_cont[:, None]) - x_end
+
+        cdf, survival, partial_below = pieces
+        disc = math.exp(-b.r * p.tau_b)
+        kappa = (
+            disc * math.exp(2.0 * (p.mu - b.r) * p.tau_b) * (partial_below / x_end)
+            - 1.0
+        )
+        held = disc * survival * bob_t3_cont[:, None]
+        deposits = (
+            self.collateral
+            * disc
+            * (
+                math.exp(-b.r * p.tau_a)
+                + math.exp(-b.r * (p.eps_b + p.tau_a)) * cdf
+            )
+        )
+        x_a, x_b = x_end[:, :-1], x_end[:, 1:]
+        upper = (
+            held[:, 1:]
+            + np.maximum(x_a * kappa[:, :-1], x_b * kappa[:, :-1])
+            + deposits[:, :-1]
+        )
+        lower = (
+            held[:, :-1]
+            + np.minimum(x_a * kappa[:, 1:], x_b * kappa[:, 1:])
+            + deposits[:, 1:]
+        )
+        proven = np.where(
+            upper < -_PROOF_MARGIN * x_b,
+            -1.0,
+            np.where(lower > _PROOF_MARGIN * x_b, 1.0, 0.0),
+        )
+        values = np.empty_like(grid)
+        values[:, :-1] = np.repeat(proven, np.diff(ends), axis=1)
+        values[:, ends] = at_ends
+
+        rows, blocks = np.nonzero(proven == 0.0)
+        # a block's interior columns; the last, shorter block repeats
+        # its end column, which re-evaluates to the same value
+        cols = np.minimum(
+            ends[blocks][:, None] + np.arange(1, _SCAN_BLOCK),
+            ends[blocks + 1][:, None],
+        )
+        rows = rows[:, None]
+        x = grid[rows, cols]
+        values[rows, cols] = self._bob_advantage(x, k3[rows], bob_t3_cont[rows])
+        return values
 
     # ------------------------------------------------------------------ #
     # the full grid solve
@@ -278,11 +389,11 @@ class GridSolver:
         grid = np.exp(
             np.linspace(np.log(lo_vec), np.log(hi_vec), self.scan_points, axis=1)
         )
-        advantage = self._bob_t2_cont(grid, k3[:, None], bob_t3_cont[:, None]) - grid
-        rows, bracket_lo, bracket_hi = grid_sign_change_brackets(grid, advantage)
+        signs = self._certified_scan(grid, k3, bob_t3_cont)
+        rows, bracket_lo, bracket_hi = grid_sign_change_brackets(grid, signs)
 
         def advantage_flat(x: np.ndarray) -> np.ndarray:
-            return self._bob_t2_cont(x, k3[rows], bob_t3_cont[rows]) - x
+            return self._bob_advantage(x, k3[rows], bob_t3_cont[rows])
 
         roots = bisect_roots(advantage_flat, bracket_lo, bracket_hi)
 
@@ -306,11 +417,8 @@ class GridSolver:
         cand_lo_arr = np.asarray(cand_lo, dtype=float)
         cand_hi_arr = np.asarray(cand_hi, dtype=float)
         mids = np.sqrt(cand_lo_arr * cand_hi_arr)
-        mid_advantage = (
-            self._bob_t2_cont(
-                mids, k3[cand_rows_arr], bob_t3_cont[cand_rows_arr]
-            )
-            - mids
+        mid_advantage = self._bob_advantage(
+            mids, k3[cand_rows_arr], bob_t3_cont[cand_rows_arr]
         )
         keep = mid_advantage > 0.0
         iv_rows = cand_rows_arr[keep]
@@ -323,34 +431,34 @@ class GridSolver:
             regions[row].append((interval_lo, interval_hi))
         t2_regions = tuple(IntervalUnion.from_intervals(r) for r in regions)
 
-        # --- t1: three batched quadratures over the flattened intervals,
-        # all under the one shared law, scattered back per grid point.
+        # --- t1: one batched quadrature over the flattened intervals, all
+        # under the one shared law, of a stacked integrand: both agents'
+        # t2 continuation values (one pieces call) and the SR survival
+        # term; the three rows are scattered back per grid point. The
+        # survival row keeps the scalar solvers' log-space kernel: the
+        # lognormal pieces' survival differs from it by an ulp.
         law = self._t1_law
+        kernel_b = self._kernel_b
         k_iv = k3[iv_rows][:, None]
+        log_k_iv = np.log(np.where(k3 > 0.0, k3, 1.0))[iv_rows][:, None]
         alice_t3_stop_iv = alice_t3_stop[iv_rows][:, None]
         bob_t3_cont_iv = bob_t3_cont[iv_rows][:, None]
 
-        inside_alice = np.bincount(
-            iv_rows,
-            weights=expectation_on_intervals(
-                law,
-                lambda x: self._alice_t2_cont(x, k_iv, alice_t3_stop_iv),
-                iv_lo,
-                iv_hi,
-                self.quad_order,
-            ),
-            minlength=n,
-        )
-        inside_bob = np.bincount(
-            iv_rows,
-            weights=expectation_on_intervals(
-                law,
-                lambda x: self._bob_t2_cont(x, k_iv, bob_t3_cont_iv),
-                iv_lo,
-                iv_hi,
-                self.quad_order,
-            ),
-            minlength=n,
+        def t2_values(x: np.ndarray) -> np.ndarray:
+            pieces = kernel_b.pieces(x, k_iv)
+            return np.stack(
+                [
+                    self._alice_t2_cont(x, pieces, alice_t3_stop_iv),
+                    self._bob_t2_cont(pieces, bob_t3_cont_iv),
+                    kernel_b.survival_from_logs(np.log(x), log_k_iv),
+                ]
+            )
+
+        inside_alice, inside_bob, sr_quad = (
+            np.bincount(iv_rows, weights=weights, minlength=n)
+            for weights in expectation_on_intervals(
+                law, t2_values, iv_lo, iv_hi, self.quad_order
+            )
         )
         prob_inside = np.bincount(
             iv_rows,
@@ -383,20 +491,7 @@ class GridSolver:
         alice_t1_stop = pstars + q
         bob_t1_stop = np.full(n, p.p0 + q)
 
-        # --- success rate (Eq. (31)/(40)) with the scalar survive kernel
-        kernel_b = self._kernel_b
-        log_k_iv = np.log(np.where(k3 > 0.0, k3, 1.0))[iv_rows][:, None]
-
-        def survive(x: np.ndarray) -> np.ndarray:
-            return kernel_b.survival_from_logs(np.log(x), log_k_iv)
-
-        sr_quad = np.bincount(
-            iv_rows,
-            weights=expectation_on_intervals(
-                law, survive, iv_lo, iv_hi, self.quad_order
-            ),
-            minlength=n,
-        )
+        # --- success rate (Eq. (31)/(40)) from the stacked pass's survival row
         empty = np.bincount(iv_rows, minlength=n) == 0
         success = np.where(empty, 0.0, np.where(k3 > 0.0, sr_quad, prob_inside))
 
@@ -461,7 +556,7 @@ def feasible_regions_grid(
 
     One :meth:`GridSolver.solve` over a log grid yields *both* agents'
     ``t1`` advantages; the boundary roots of the two sign patterns are
-    then refined together -- one batched bisection whose objective is a
+    then refined together -- one batched refinement whose objective is a
     single engine solve over all candidate boundary points, with an
     agent mask selecting which advantage each bracket tracks.
     """

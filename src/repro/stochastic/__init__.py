@@ -12,8 +12,8 @@ Monte Carlo engine need from probability theory and numerical analysis:
 * :mod:`repro.stochastic.quadrature` -- Gauss--Legendre expectation
   integrals over truncated price ranges, scalar and batched.
 * :mod:`repro.stochastic.rootfind` -- bracketed root finding (scalar
-  Brent and vectorised bisection), all-roots scans, and interval unions
-  used to characterise continuation regions.
+  Brent and a batched Chandrupatla refiner), batched sign-change scans,
+  and interval unions used to characterise continuation regions.
 * :mod:`repro.stochastic.paths` -- vectorised simulation of the price at
   the swap's decision times.
 * :mod:`repro.stochastic.rng` -- reproducible random number streams.
@@ -42,9 +42,7 @@ from repro.stochastic.rootfind import (
     IntervalUnion,
     bisect_roots,
     bracketed_root,
-    find_all_roots,
     grid_sign_change_brackets,
-    sign_change_brackets,
 )
 
 __all__ = [
@@ -71,7 +69,5 @@ __all__ = [
     "IntervalUnion",
     "bisect_roots",
     "bracketed_root",
-    "find_all_roots",
     "grid_sign_change_brackets",
-    "sign_change_brackets",
 ]

@@ -12,6 +12,11 @@ and makes 64--128 nodes accurate to ~1e-12 for the payoffs at hand.
 
 Semi-infinite integrals are truncated at quantiles carrying negligible
 mass (see :meth:`LognormalLaw.effective_support`).
+
+:func:`expectation_on_intervals` integrates many intervals under one
+law in one pass, and several integrands at once when ``g`` returns them
+stacked along a leading axis: the grid engine integrates both agents'
+``t2`` continuation values and the success-rate survival term together.
 """
 
 from __future__ import annotations
@@ -99,6 +104,13 @@ def expectation_on_intervals(
     elementwise. Returns a ``(batch,)`` array; rows whose clipped
     interval is empty contribute exactly ``0.0``, matching the scalar
     function's early return.
+
+    ``g`` may also return a *stacked* ``(k, batch, order)`` array -- ``k``
+    integrands over the same intervals, e.g. built from one shared
+    transition-kernel call on the nodes -- and the result is then
+    ``(k, batch)``, each row bit-identical to integrating that integrand
+    alone. An empty batch still calls ``g`` (on a ``(0, order)`` array),
+    so the result keeps the integrand's leading shape.
     """
     lo = np.maximum(np.asarray(lo, dtype=float), 0.0)
     hi = np.asarray(hi, dtype=float)
@@ -106,8 +118,6 @@ def expectation_on_intervals(
         raise ValueError(
             f"lo/hi must be equal-length 1-D arrays, got {lo.shape} and {hi.shape}"
         )
-    if lo.size == 0:
-        return np.zeros(0)
     support_lo, support_hi = law.effective_support(_TAIL_MASS)
     lo_eff = np.maximum(lo, support_lo)
     hi_eff = np.minimum(hi, support_hi)

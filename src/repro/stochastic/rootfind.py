@@ -8,10 +8,12 @@ Section IV shows the indifference equation has an *odd* number of roots
 
 This module provides
 
-* :func:`sign_change_brackets` -- scan a log-spaced grid for sign
-  changes;
-* :func:`bracketed_root` -- Brent's method on a verified bracket;
-* :func:`find_all_roots` -- all roots on an interval via scan + Brent;
+* :func:`bracketed_root` -- Brent's method on one verified bracket (the
+  scalar solvers' refiner);
+* :func:`grid_sign_change_brackets` -- the sign-change brackets of a
+  whole batch of pre-evaluated log-grid scans in one pass;
+* :func:`bisect_roots` -- Chandrupatla's bracketed superlinear step on
+  a batch of brackets at once (the grid engine's refiner);
 * :class:`IntervalUnion` -- a normalised union of disjoint open
   intervals with membership, measure-under-a-law, and set algebra. The
   continuation regions :math:`\\mathfrak{P}_{t_2}` of the paper are
@@ -28,49 +30,34 @@ import numpy as np
 from scipy.optimize import brentq
 
 __all__ = [
-    "sign_change_brackets",
     "bracketed_root",
-    "find_all_roots",
     "grid_sign_change_brackets",
     "bisect_roots",
     "IntervalUnion",
 ]
 
 
-def _log_grid(lo: float, hi: float, n: int) -> np.ndarray:
-    return np.exp(np.linspace(math.log(lo), math.log(hi), n))
+def _count_effort(calls: int, iterations: int, evaluations: int) -> None:
+    """Add one refinement's effort to the ``repro_rootfind_*`` counters.
 
-
-def sign_change_brackets(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    n_scan: int = 400,
-) -> List[Tuple[float, float]]:
-    """Find sub-intervals of ``(lo, hi)`` where ``f`` changes sign.
-
-    The scan grid is log-spaced (prices live on a multiplicative scale).
-    Exact zeros on grid points are attributed to the bracket on their
-    left. Returns a list of ``(a, b)`` brackets with ``f(a) f(b) < 0``
-    or ``f(b) == 0``.
+    Both refiners report here, so the help strings name no method:
+    ``calls`` counts brackets, ``iterations`` each bracket's own steps,
+    ``evaluations`` the points the objective was evaluated at.
     """
-    if not (lo > 0.0 and hi > lo):
-        raise ValueError(f"need 0 < lo < hi, got lo={lo}, hi={hi}")
-    if n_scan < 2:
-        raise ValueError(f"n_scan must be >= 2, got {n_scan}")
-    xs = _log_grid(lo, hi, n_scan)
-    values = np.array([f(float(x)) for x in xs])
-    brackets: List[Tuple[float, float]] = []
-    for i in range(len(xs) - 1):
-        a, b = float(xs[i]), float(xs[i + 1])
-        fa, fb = values[i], values[i + 1]
-        if fa == 0.0:
-            # zero exactly on a grid point: skip, the previous bracket
-            # (if any) already captured it
-            continue
-        if fb == 0.0 or fa * fb < 0.0:
-            brackets.append((a, b))
-    return brackets
+    from repro.obs.metrics import get_registry
+
+    registry = get_registry()
+    registry.counter(
+        "repro_rootfind_calls_total", help="Brackets refined to a root."
+    ).inc(calls)
+    registry.counter(
+        "repro_rootfind_iterations_total",
+        help="Refinement steps, summed over brackets.",
+    ).inc(iterations)
+    registry.counter(
+        "repro_rootfind_function_calls_total",
+        help="Points at which a root finder evaluated its objective.",
+    ).inc(evaluations)
 
 
 def bracketed_root(
@@ -87,23 +74,12 @@ def bracketed_root(
     and ``repro_rootfind_function_calls_total`` (Brent's own counts),
     so a sweep's root-finding cost is directly observable.
     """
-    from repro.obs.metrics import get_registry
-
     root, info = brentq(f, lo, hi, xtol=xtol, rtol=rtol, full_output=True)
-    registry = get_registry()
-    registry.counter(
-        "repro_rootfind_calls_total", help="Bracketed Brent root solves."
-    ).inc()
     # scipy can report an uninitialised (negative) iteration count when
     # Brent converges on the first probe; clamp before counting
-    registry.counter(
-        "repro_rootfind_iterations_total",
-        help="Brent iterations across all root solves.",
-    ).inc(max(int(info.iterations), 0))
-    registry.counter(
-        "repro_rootfind_function_calls_total",
-        help="Objective evaluations across all root solves.",
-    ).inc(max(int(info.function_calls), 0))
+    _count_effort(
+        1, max(int(info.iterations), 0), max(int(info.function_calls), 0)
+    )
     return float(root)
 
 
@@ -114,12 +90,13 @@ def grid_sign_change_brackets(
     """Sign-change brackets of a whole batch of scans in one pass.
 
     ``grid`` and ``values`` are ``(batch, n_scan)`` arrays: row ``i``
-    holds one pre-evaluated scan. The bracketing rule is exactly
-    :func:`sign_change_brackets`'s (a grid-point zero is attributed to
-    the bracket on its left), applied to every row at once. Returns the
-    flat triple ``(rows, lo, hi)`` where ``rows[j]`` is the batch row
-    that bracket ``j`` belongs to; within a row, brackets come out in
-    ascending order.
+    holds one pre-evaluated scan. Column pair ``(c, c + 1)`` is a
+    bracket when ``values[c] != 0`` and either ``values[c + 1] == 0``
+    or the two values have opposite signs, so a grid-point zero is
+    attributed to the bracket on its left. Only the signs of ``values``
+    matter. Returns the flat triple ``(rows, lo, hi)`` where ``rows[j]``
+    is the batch row that bracket ``j`` belongs to; within a row,
+    brackets come out in ascending order.
     """
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -142,74 +119,76 @@ def bisect_roots(
     rtol: float = 1e-13,
     max_iter: int = 200,
 ) -> np.ndarray:
-    """Vectorised bisection on a batch of verified brackets.
+    """Refine a batch of verified brackets to their roots at once.
 
-    ``f`` maps an array of points to an array of values; each
-    ``(lo[j], hi[j])`` must bracket a root in the
-    :func:`sign_change_brackets` sense (``f(lo) != 0`` and ``f(hi) == 0``
-    or a sign change). All brackets are refined simultaneously to a
-    relative width of ``rtol`` -- comparable to the ``1e-12`` tolerance
-    the scalar Brent path uses -- and an exact zero hit collapses its
-    bracket immediately. Effort lands in the same
-    ``repro_rootfind_*`` counter families as :func:`bracketed_root`.
+    ``f`` maps an array of points, one per bracket and in bracket
+    order, to an array of values; each ``(lo[j], hi[j])`` must bracket
+    a root in the :func:`grid_sign_change_brackets` sense (a sign
+    change, or an exact zero at an end). Every bracket takes its own
+    Chandrupatla (1997) steps: inverse quadratic interpolation through
+    the last three points where it is safe, bisection otherwise, with
+    each new point kept a share ``tol / |b - c|`` of the bracket away
+    from its ends. A bracket stops on Chandrupatla's rule --
+    ``tol / |b - c| > 1/2``, i.e. the bracket before the last step was
+    narrower than ``2 tol = rtol |x|`` -- or on an exact zero, which is
+    returned exactly. The returned point is the bracket end with the
+    smaller ``|f|``, so it always lies inside ``[lo[j], hi[j]]``.
+
+    ``f`` sees the whole batch every step (a finished bracket re-asks
+    its answer), so objectives may index per-bracket data positionally.
+    Effort lands in the same ``repro_rootfind_*`` counter families as
+    :func:`bracketed_root`, with each bracket's own step count.
     """
-    from repro.obs.metrics import get_registry
-
-    lo = np.asarray(lo, dtype=float).copy()
-    hi = np.asarray(hi, dtype=float).copy()
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
     if lo.shape != hi.shape or lo.ndim != 1:
         raise ValueError(
             f"lo/hi must be equal-length 1-D arrays, got {lo.shape} and {hi.shape}"
         )
     if lo.size == 0:
-        return lo
-    flo = np.asarray(f(lo), dtype=float)
-    iterations = 0
-    evaluations = lo.size
-    for _ in range(max_iter):
-        tol = rtol * np.maximum(np.abs(lo), np.abs(hi))
-        if np.all(hi - lo <= tol):
-            break
-        mid = 0.5 * (lo + hi)
-        fmid = np.asarray(f(mid), dtype=float)
-        iterations += 1
-        evaluations += mid.size
-        exact = fmid == 0.0
-        same_side = fmid * flo > 0.0
-        lo = np.where(exact | same_side, mid, lo)
-        flo = np.where(same_side, fmid, flo)
-        hi = np.where(exact | ~same_side, mid, hi)
-    registry = get_registry()
-    registry.counter(
-        "repro_rootfind_calls_total", help="Bracketed Brent root solves."
-    ).inc(lo.size)
-    registry.counter(
-        "repro_rootfind_iterations_total",
-        help="Brent iterations across all root solves.",
-    ).inc(iterations * lo.size)
-    registry.counter(
-        "repro_rootfind_function_calls_total",
-        help="Objective evaluations across all root solves.",
-    ).inc(evaluations)
-    return 0.5 * (lo + hi)
-
-
-def find_all_roots(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    n_scan: int = 400,
-) -> List[float]:
-    """All roots of ``f`` on ``(lo, hi)`` resolvable at the scan resolution.
-
-    Roots closer together than the grid spacing may be merged or missed;
-    callers choose ``n_scan`` generously relative to the expected number
-    of roots (the swap games have at most 3).
-    """
-    roots = []
-    for a, b in sign_change_brackets(f, lo, hi, n_scan):
-        roots.append(bracketed_root(f, a, b))
-    return sorted(roots)
+        return lo.copy()
+    # Chandrupatla's names: ``a`` is the newest point, ``b`` the bracket
+    # end of the opposite sign, ``c`` the point the last step dropped
+    b, fb = lo.copy(), np.asarray(f(lo), dtype=float)
+    a, fa = hi.copy(), np.asarray(f(hi), dtype=float)
+    c, fc = a.copy(), fa.copy()
+    evaluations = 2 * lo.size
+    steps = np.zeros(lo.size, dtype=np.int64)
+    t = np.full(lo.size, 0.5)
+    smaller = np.abs(fa) < np.abs(fb)
+    best, f_best = np.where(smaller, a, b), np.where(smaller, fa, fb)
+    active = f_best != 0.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(max_iter):
+            if not active.any():
+                break
+            x = np.where(active, a + t * (b - a), best)
+            fx = np.asarray(f(x), dtype=float)
+            evaluations += x.size
+            steps += active
+            same = np.sign(fx) == np.sign(fa)
+            keep = same | ~active
+            c, fc = (
+                np.where(active, np.where(same, a, b), c),
+                np.where(active, np.where(same, fa, fb), fc),
+            )
+            b, fb = np.where(keep, b, a), np.where(keep, fb, fa)
+            a, fa = np.where(active, x, a), np.where(active, fx, fa)
+            smaller = np.abs(fa) < np.abs(fb)
+            best, f_best = np.where(smaller, a, b), np.where(smaller, fa, fb)
+            t_lim = 0.5 * rtol * np.abs(best) / np.abs(b - c)
+            active &= (f_best != 0.0) & ~(t_lim > 0.5)
+            # inverse quadratic interpolation only where Chandrupatla's
+            # test says the three points admit a monotone fit
+            xi = (a - b) / (c - b)
+            phi = (fa - fb) / (fc - fb)
+            iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
+            t_iqi = fa / (fb - fa) * fc / (fb - fc) + (c - a) / (b - a) * fa / (
+                fc - fa
+            ) * fb / (fc - fb)
+            t = np.clip(np.where(iqi, t_iqi, 0.5), t_lim, 1.0 - t_lim)
+    _count_effort(lo.size, int(steps.sum()), evaluations)
+    return best
 
 
 @dataclass(frozen=True)
@@ -257,29 +236,6 @@ class IntervalUnion:
             else:
                 merged.append((lo, hi))
         return IntervalUnion(tuple(merged))
-
-    @staticmethod
-    def where_positive(
-        f: Callable[[float], float],
-        lo: float,
-        hi: float,
-        n_scan: int = 400,
-    ) -> "IntervalUnion":
-        """The region of ``(lo, hi)`` where ``f > 0``.
-
-        Built from the roots of ``f`` plus the sign of ``f`` between
-        consecutive roots (evaluated at the geometric midpoint).
-        """
-        roots = find_all_roots(f, lo, hi, n_scan)
-        edges = [lo] + roots + [hi]
-        keep: List[Tuple[float, float]] = []
-        for a, b in zip(edges[:-1], edges[1:]):
-            if b <= a:
-                continue
-            mid = math.sqrt(a * b)
-            if f(mid) > 0.0:
-                keep.append((a, b))
-        return IntervalUnion.from_intervals(keep)
 
     # ------------------------------------------------------------------ #
     # queries

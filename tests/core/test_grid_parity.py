@@ -5,8 +5,10 @@ draw, any collateral level, and any ``P*`` grid, ``solve_grid`` must
 agree with the per-point scalar solvers to ``1e-9`` on every reported
 quantity -- thresholds, region endpoints, ``t1`` utilities, success
 rates -- and on every boolean flag. The only tolerated differences come
-from batched bisection vs Brent at the region roots (~1e-12) and from
-dot-product association order (~1 ulp).
+from the engine's batched Chandrupatla refiner vs the scalar Brent at
+the region roots (~1e-12) and from dot-product association order
+(~1 ulp). The engine's certified scan finds exactly the brackets of a
+full scan (``tests/core/test_certified_scan.py``), so it adds none.
 """
 
 from __future__ import annotations

@@ -5,11 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.stochastic.law import parse_law, step_kernel
 from repro.stochastic.lognormal import LognormalLaw
 from repro.stochastic.quadrature import (
     expectation_above,
     expectation_below,
     expectation_on_interval,
+    expectation_on_intervals,
     gauss_legendre_nodes,
 )
 
@@ -90,3 +92,27 @@ class TestTails:
         assert expectation_below(LAW, lambda x: x, k) == pytest.approx(
             float(LAW.partial_expectation_below(k)), rel=1e-10
         )
+
+
+class TestStackedIntegrands:
+    @pytest.mark.parametrize(
+        "law",
+        ["lognormal", "merton:jump_intensity=0.5,jump_mean=-0.3", "regime:sigma_turbulent=0.4"],
+    )
+    def test_each_row_equals_its_own_pass_bit_for_bit(self, law):
+        t1_law = step_kernel(parse_law(law), 0.002, 0.1, 4.0).law(2.0)
+        lo = np.array([0.5, 1.0, 1.9, 3.0])
+        hi = np.array([1.5, 2.5, 2.1, 9.0])
+        scale = np.array([1.0, 2.0, 3.0, 4.0])[:, None]
+        integrands = (lambda x: x * scale, lambda x: np.sqrt(x), lambda x: np.exp(-x) + scale)
+        stacked = expectation_on_intervals(
+            t1_law, lambda x: np.stack([g(x) for g in integrands]), lo, hi
+        )
+        assert stacked.shape == (3, 4)
+        for row, g in zip(stacked, integrands):
+            assert np.array_equal(row, expectation_on_intervals(t1_law, g, lo, hi))
+
+    def test_empty_batch_keeps_the_leading_shape(self):
+        stacked = expectation_on_intervals(LAW, lambda x: np.stack([x, x * x]), [], [])
+        assert stacked.shape == (2, 0)
+        assert expectation_on_intervals(LAW, lambda x: x, [], []).shape == (0,)
