@@ -50,7 +50,6 @@ from repro.server.circuit import CircuitBreaker
 from repro.server.client import (
     CircuitOpenError,
     ClientError,
-    HedgePolicy,
     RetriesExhaustedError,
     RetryPolicy,
     ServerReplyError,
@@ -77,7 +76,6 @@ __all__ = [
     "ReplicaSupervisor",
     "SupervisorMetrics",
     "SwapClient",
-    "HedgePolicy",
     "RetryPolicy",
     "ClientError",
     "ServerReplyError",

@@ -47,11 +47,14 @@ same bytes by construction. The pipeline's framing rules:
   header colon (RFC 9112 §5.1), conflicting ``Content-Length`` values
   (§6.3) -- is answered ``400 invalid_request``, a head over 64 KiB
   ``431 header_too_large``, and the connection closes;
-* every head and body read is bounded by :data:`READ_TIMEOUT` (idle
-  keep-alives included), so a stalled client cannot hold a socket;
+* every head and body read, and every reply write, is bounded by
+  :data:`READ_TIMEOUT` (idle keep-alives included), so a client that
+  stalls sending or stops reading cannot hold a socket;
 * a request whose body was not read, or that asked for
   ``Connection: close``, is answered with ``Connection: close`` and the
-  socket closes.
+  socket closes;
+* ``HEAD`` is answered as ``GET`` without the body (RFC 9110 §9.3.2),
+  and every ``405`` names the route's methods in ``Allow`` (§15.5.6).
 
 The proxy role does no solving. It derives each request's canonical
 routing key (:func:`~repro.server.router.routing_key`) and proxies the
@@ -93,7 +96,7 @@ import time
 import traceback
 from collections import OrderedDict
 from hashlib import blake2b
-from typing import Awaitable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Awaitable, Dict, List, NamedTuple, Optional, Sequence, Tuple, TypeVar
 from urllib.parse import urlsplit
 
 from repro import __version__
@@ -133,8 +136,9 @@ from repro.swapgraph.metrics import observe_graph_request
 
 __all__ = ["READ_TIMEOUT", "RouterServer"]
 
-READ_TIMEOUT = 60.0  # seconds allowed for one head or body read
+READ_TIMEOUT = 60.0  # seconds allowed for one head/body read or reply write
 _HEAD_LIMIT = 1 << 16  # request-head bytes before a 431
+_T = TypeVar("_T")
 
 _REASONS = {
     200: "OK", 400: "Bad Request", 403: "Forbidden", 404: "Not Found",
@@ -186,6 +190,14 @@ def _error_reply(
     return _Reply(status, body, headers=headers)
 
 
+def _not_allowed(method: str, path: str, allowed: str) -> _Reply:
+    """The typed 405, naming the methods ``path`` answers in ``Allow``."""
+    return _error_reply(
+        method_not_allowed_error(method, path),
+        {"Allow": "GET, HEAD" if allowed == "GET" else allowed},
+    )
+
+
 def _deadline_reply(seconds: float) -> _Reply:
     return _error_reply(
         ServiceErrorInfo.from_exception(
@@ -206,14 +218,15 @@ class _Request:
     """One request as it moves through the pipeline."""
 
     __slots__ = (
-        "client", "started", "method", "target", "path", "route", "headers",
-        "keep_alive", "unread", "body", "budget", "token",
+        "client", "started", "method", "head", "target", "path", "route",
+        "headers", "keep_alive", "unread", "body", "budget", "token",
     )
 
     def __init__(self, client: str) -> None:
         self.client = client
         self.started = time.perf_counter()
         self.method = self.target = "-"
+        self.head = False  # a HEAD: answered as GET, never with a body
         self.path = ""
         self.route = "unknown"
         self.headers: Dict[str, str] = {}
@@ -224,9 +237,15 @@ class _Request:
         self.token: Optional[Tuple[str, str, bytes]] = None  # router cache key
 
     def parse(self, head: bytes) -> None:
-        """Fill in the request from its head; ``ValueError`` names the flaw."""
+        """Fill in the request from its head; ``ValueError`` names the flaw.
+
+        ``HEAD`` becomes ``GET`` here, so routing keys, the router cache
+        and the proxy all see a GET; only the reply drops its body. The
+        flag is set before any check, so not even a 400 carries a body.
+        """
         request_line, *lines = head[:-4].decode("latin-1").split("\r\n")
         parts = request_line.split(" ")
+        self.head = parts[0] == "HEAD"
         if (
             len(parts) != 3
             or not _TOKEN.match(parts[0])
@@ -244,6 +263,8 @@ class _Request:
                 raise ValueError("conflicting Content-Length headers")
             headers[name] = value
         self.method, self.target, version = parts
+        if self.head:
+            self.method = "GET"
         self.path = self.target.split("?", 1)[0]
         self.route = self.path if self.path in _KNOWN_PATHS else "unknown"
         self.headers = headers
@@ -475,7 +496,7 @@ class _FrontEnd:
         """Serve one request; True keeps the connection open."""
         request = _Request(client)
         try:
-            head = await self._read(reader.readuntil(b"\r\n\r\n"), writer)
+            head = await self._bounded(reader.readuntil(b"\r\n\r\n"), writer)
         except asyncio.LimitOverrunError:
             reply = _error_reply(header_too_large_error(_HEAD_LIMIT))
             return await self._send(writer, request, reply)
@@ -501,12 +522,14 @@ class _FrontEnd:
             reply = _error_reply(ServiceErrorInfo.from_exception(exc))
         return await self._send(writer, request, reply)
 
-    async def _read(self, pending: Awaitable[bytes], writer) -> bytes:
-        """Await one read within :data:`READ_TIMEOUT`.
+    async def _bounded(self, pending: Awaitable[_T], writer) -> _T:
+        """Await one read or drain on ``writer``'s connection within
+        :data:`READ_TIMEOUT`.
 
-        A peer that stalls past the bound is disconnected, which ends
-        the read with ``IncompleteReadError`` (a timer per read costs
-        less than ``asyncio.wait_for``'s task per read).
+        A peer that stalls past the bound, sending or reading, is
+        disconnected: that ends a read with ``IncompleteReadError`` and
+        a drain at once, after which the next read fails the same way
+        (a timer per await costs less than ``asyncio.wait_for``'s task).
         """
         timer = self._loop.call_later(READ_TIMEOUT, writer.transport.abort)
         try:
@@ -521,13 +544,14 @@ class _FrontEnd:
         if path.startswith("/admin/"):
             reply = await self._admin(request, reader, writer)
             return await self._send(writer, request, reply)
-        if _API_METHODS.get(path) != method:
-            error = (
-                method_not_allowed_error(method, path)
+        allowed = _API_METHODS.get(path)
+        if allowed != method:
+            reply = (
+                _not_allowed(method, path, allowed or "GET")  # ops: GET only
                 if path in _KNOWN_PATHS
-                else not_found_error(path)
+                else _error_reply(not_found_error(path))
             )
-            return await self._send(writer, request, _error_reply(error))
+            return await self._send(writer, request, reply)
         if method == "POST":
             await self._read_body(request, reader, writer)
         if self.draining:
@@ -590,7 +614,7 @@ class _FrontEnd:
             raise _WireError(body_too_large_error(length, limit))
         if headers.get("expect", "").lower() == "100-continue":
             writer.write(b"HTTP/1.1 100 Continue\r\n\r\n")
-        request.body = await self._read(reader.readexactly(length), writer)
+        request.body = await self._bounded(reader.readexactly(length), writer)
         request.unread = False
 
     def _shed(self, reason: str, request: _Request) -> _Reply:
@@ -642,8 +666,13 @@ class _FrontEnd:
             return _error_reply(ServiceErrorInfo.from_exception(exc))
 
     async def _send(self, writer, request: _Request, reply: _Reply) -> bool:
-        """Write ``reply`` and account for it; True keeps the connection."""
+        """Write ``reply`` and account for it; True keeps the connection.
+
+        A ``HEAD`` gets the head a GET would, ``Content-Length``
+        included, and no body.
+        """
         keep_alive = request.keep_alive and not request.unread
+        body = b"" if request.head else reply.body
         head = [
             f"HTTP/1.1 {reply.status} {_REASONS.get(reply.status, 'Unknown')}",
             _SERVER_HEADER,
@@ -653,22 +682,22 @@ class _FrontEnd:
         head += [f"{name}: {value}" for name, value in (reply.headers or {}).items()]
         if not keep_alive:
             head.append("Connection: close")
-        writer.write("\r\n".join(head).encode("latin-1") + b"\r\n\r\n" + reply.body)
-        await writer.drain()
+        writer.write("\r\n".join(head).encode("latin-1") + b"\r\n\r\n" + body)
+        await self._bounded(writer.drain(), writer)
         elapsed = time.perf_counter() - request.started
         # method labels stay bounded whatever verbs clients invent
         method = request.method if request.method in ("GET", "POST") else "other"
         self.metrics.observe(
-            request.route, method, reply.status, elapsed, len(reply.body)
+            request.route, method, reply.status, elapsed, len(body)
         )
         get_logger().log(
             "http_access",
-            method=request.method,
+            method="HEAD" if request.head else request.method,
             route=request.route,
             path=request.target,
             status=reply.status,
             seconds=round(elapsed, 6),
-            bytes=len(reply.body),
+            bytes=len(body),
             client=request.client,
         )
         return keep_alive
@@ -929,7 +958,7 @@ class RouterServer(_FrontEnd):
                 f"Host: {link.host}:{link.port}\r\n"
                 f"Connection: close\r\n\r\n".encode("latin-1")
             )
-            await writer.drain()
+            await self._bounded(writer.drain(), writer)
             head = await asyncio.wait_for(
                 reader.readuntil(b"\r\n\r\n"), timeout=timeout
             )
@@ -1008,9 +1037,9 @@ class RouterServer(_FrontEnd):
     def _bump_epoch(self, reason: str) -> None:
         """Advance the topology version (always on the event loop).
 
-        Every ring membership change lands here: the epoch is what the
-        hedging client keys its re-discovery on, and the response cache
-        is invalidated wholesale -- a cached reply may belong to a
+        Every ring membership change lands here: the epoch is published
+        in ``/readyz`` and the admin topology document, and the response
+        cache is invalidated wholesale -- a cached reply may belong to a
         keyslice that just re-homed.
         """
         self._epoch += 1
@@ -1201,8 +1230,10 @@ class RouterServer(_FrontEnd):
                     message=f"action must be 'add' or 'remove', got {action!r}",
                 )
             )
-        if path in ("/admin/v1/topology", "/admin/v1/replicas"):
-            return _error_reply(method_not_allowed_error(method, path))
+        if path == "/admin/v1/topology":
+            return _not_allowed(method, path, "GET")
+        if path == "/admin/v1/replicas":
+            return _not_allowed(method, path, "POST")
         return _error_reply(not_found_error(path))
 
     def _topology_document(self) -> dict:
@@ -1469,7 +1500,7 @@ class RouterServer(_FrontEnd):
                 + b"\r\n\r\n"
                 + request.body
             )
-            await writer.drain()
+            await self._bounded(writer.drain(), writer)
 
             head = await reader.readuntil(b"\r\n\r\n")
             text = head.decode("latin-1")

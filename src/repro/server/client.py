@@ -27,37 +27,26 @@ half-opens after its reset timeout and probes the server back in).
 A ``faults=`` injector adds deterministic client-side chaos
 (``http_drop``/``http_slow``) for tests of exactly that machinery.
 
-The client is also **replica-set aware** for the sharded tier
-(``serve --replicas N``): give it a static ``replicas=[url, ...]``
-list, or point ``base_url`` at the router and pass ``discover=True``
-to read the replica topology from the router's ``/readyz`` document.
-In replicated mode each replica gets its *own* circuit breaker, retries
-rotate across healthy replicas (fail-over is the retry), and an
-optional :class:`HedgePolicy` launches a second attempt against a
-different replica once the first has been in flight longer than the
-client's own observed p95 latency -- the classic tail-tolerance
-trade: a few percent duplicate work for a collapsed p99. Ops probes
-(``/healthz``, ``/readyz``, ``/metrics``, ``/version``) always go to
-``base_url`` itself (the router), never to a replica.
+The client talks to one base URL and only retries. Against the sharded
+tier (``serve --replicas N``) that URL is the router, which already
+sends each request to its home shard by canonical key, with
+per-replica breakers, ring-order fail-over and a hot-key cache.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import math
 import random
 import time
 import urllib.error
 import urllib.request
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor
-from concurrent.futures import wait as _futures_wait
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from urllib.parse import quote
 
 from repro.faults.injector import build_injector
-from repro.server.circuit import CircuitBreaker
 from repro.server.wire import ResultReply, SweepReply
 from repro.service.serialize import decode_result
 
@@ -67,15 +56,8 @@ __all__ = [
     "RetriesExhaustedError",
     "CircuitOpenError",
     "RetryPolicy",
-    "HedgePolicy",
     "SwapClient",
 ]
-
-# the idempotent single-shot routes a hedge may duplicate safely;
-# /v1/batch is excluded (duplicating a whole batch doubles real work)
-# and /v1/swap-graph too: a lattice solve can run whole seconds of CPU,
-# so duplicating it burns a replica core for no tail-latency win
-_HEDGEABLE_PATHS = ("/v1/solve", "/v1/validate", "/v1/sweep")
 
 
 class ClientError(Exception):
@@ -139,12 +121,16 @@ class RetryPolicy:
     max_delay: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
+        if not isinstance(self.max_attempts, int) or self.max_attempts < 1:
             raise ValueError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
+                f"max_attempts must be an int >= 1, got {self.max_attempts!r}"
             )
-        if self.base_delay <= 0 or self.max_delay <= 0:
-            raise ValueError("delays must be > 0")
+        for name in ("base_delay", "max_delay"):
+            value = getattr(self, name)
+            # NaN fails every comparison, so ``<= 0`` alone would let it
+            # through to time.sleep, which raises in the middle of a retry
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
     def delay(
         self,
@@ -158,66 +144,6 @@ class RetryPolicy:
         if retry_after is not None:
             jittered = max(jittered, min(retry_after, self.max_delay))
         return jittered
-
-
-@dataclass(frozen=True)
-class HedgePolicy:
-    """When and how to hedge a slow request onto a second replica.
-
-    The hedge fires once the primary attempt has been in flight longer
-    than the client's own observed ``quantile`` latency (times
-    ``multiplier``), measured over a sliding window of recent
-    successful requests -- the delay *adapts* to whatever the serving
-    stack currently delivers instead of hard-coding a guess. Until
-    ``warmup`` samples exist the fixed ``initial_delay`` is used.
-    Whichever arm answers first wins (``repro_hedge_wins_total``); the
-    loser finishes in the background and still feeds its replica's
-    breaker.
-    """
-
-    quantile: float = 0.95
-    multiplier: float = 1.0
-    initial_delay: float = 0.05
-    min_delay: float = 0.001
-    max_delay: float = 2.0
-    window: int = 128
-    warmup: int = 16
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.quantile <= 1.0:
-            raise ValueError(f"quantile must be in (0, 1], got {self.quantile}")
-        if self.multiplier <= 0:
-            raise ValueError(f"multiplier must be > 0, got {self.multiplier}")
-        if self.window < 2 or self.warmup < 1:
-            raise ValueError("window must be >= 2 and warmup >= 1")
-
-    def delay_from(self, samples: Sequence[float]) -> float:
-        """The hedge delay given recent latency ``samples`` (seconds)."""
-        if len(samples) < self.warmup:
-            return self.initial_delay
-        ordered = sorted(samples)
-        index = int(self.quantile * (len(ordered) - 1))
-        derived = ordered[index] * self.multiplier
-        return min(self.max_delay, max(self.min_delay, derived))
-
-
-class _Endpoint:
-    """One replica the client may talk to: URL + its own breaker."""
-
-    def __init__(self, url: str, name: Optional[str] = None) -> None:
-        self.url = url.rstrip("/")
-        self.name = name if name is not None else self.url
-        # per-replica breakers publish nowhere: the unlabelled client
-        # gauge belongs to the single-endpoint breaker, and the router
-        # already exports the authoritative per-replica states
-        self.breaker = CircuitBreaker(
-            failure_threshold=3,
-            reset_timeout=5.0,
-            on_state=lambda _value: None,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"_Endpoint({self.name!r}, {self.url!r})"
 
 
 class SwapClient:
@@ -244,26 +170,6 @@ class SwapClient:
         Optional chaos hook (plan path, plan, or injector); honours
         client-side ``http_drop`` and ``http_slow`` specs keyed by the
         URL path.
-    replicas:
-        Optional static replica base-URL list. When given, ``/v1/*``
-        requests rotate across the replicas (each with its own circuit
-        breaker) and ``base_url`` serves only the ops routes.
-    discover:
-        When True, read the replica topology from ``base_url``'s
-        ``/readyz`` document (the sharded router publishes one); a
-        single local-role server publishes none and the client stays
-        single-endpoint. The topology is re-read automatically --
-        every ``discover_interval`` seconds, and immediately (throttled)
-        when every replica breaker refuses or a transport failure
-        suggests the fleet moved -- and reinstalled only when the
-        router's topology *epoch* actually changed, so a live reshard
-        reaches the client without a restart. Re-run manually via
-        :meth:`discover_replicas`.
-    discover_interval:
-        Seconds between periodic topology refreshes (``None``: only
-        the failure-triggered refreshes run).
-    hedge:
-        Optional :class:`HedgePolicy`; needs >= 2 replicas to act.
     admin_token:
         Bearer token for the router's ``/admin/v1/*`` control surface
         (:meth:`admin_topology` / :meth:`admin_add` /
@@ -279,10 +185,6 @@ class SwapClient:
         rng: Optional[random.Random] = None,
         circuit=None,
         faults=None,
-        replicas: Optional[Sequence[str]] = None,
-        discover: bool = False,
-        discover_interval: Optional[float] = None,
-        hedge: Optional[HedgePolicy] = None,
         admin_token: Optional[str] = None,
     ) -> None:
         self.base_url = base_url.rstrip("/")
@@ -292,117 +194,7 @@ class SwapClient:
         self.faults = build_injector(faults)
         self._sleep = sleep
         self._rng = rng if rng is not None else random.Random()
-        self.hedge = hedge
         self.admin_token = admin_token
-        self._hedge_metrics = None
-        self._latencies: deque = deque(
-            maxlen=hedge.window if hedge is not None else 128
-        )
-        self._endpoints: List[_Endpoint] = []
-        self._rotation = 0
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._discover = bool(discover)
-        self._discover_interval = (
-            float(discover_interval) if discover_interval is not None else None
-        )
-        self._topology_epoch: Optional[int] = None
-        self._last_discovery = 0.0
-        if replicas is not None:
-            self.set_replicas(replicas)
-        if discover:
-            self.discover_replicas()
-
-    # ------------------------------------------------------------------ #
-    # replica topology
-    # ------------------------------------------------------------------ #
-
-    @property
-    def replica_urls(self) -> List[str]:
-        """The replica base URLs currently rotated over (may be [])."""
-        return [endpoint.url for endpoint in self._endpoints]
-
-    def set_replicas(
-        self,
-        urls: Sequence[str],
-        names: Optional[Sequence[str]] = None,
-    ) -> None:
-        """Install a replica set; replaces any previous one.
-
-        Breakers of URLs already in the set are kept (their failure
-        history survives a topology refresh).
-        """
-        known = {endpoint.url: endpoint for endpoint in self._endpoints}
-        fresh: List[_Endpoint] = []
-        for index, url in enumerate(urls):
-            name = names[index] if names is not None else None
-            cleaned = url.rstrip("/")
-            if cleaned in known:
-                fresh.append(known[cleaned])
-            else:
-                fresh.append(_Endpoint(cleaned, name))
-        self._endpoints = fresh
-
-    def discover_replicas(self) -> List[str]:
-        """Refresh the replica set from ``base_url``'s ``/readyz``.
-
-        Returns the discovered URLs; an empty list (a server that
-        publishes no topology) leaves the client single-endpoint. The
-        document's topology ``epoch`` is remembered: a refresh that
-        comes back with the epoch already installed changes nothing
-        (surviving breakers keep their failure history either way).
-        """
-        self._last_discovery = time.monotonic()
-        document = self._json("GET", "/readyz")
-        entries = document.get("replicas")
-        if not isinstance(entries, list):
-            return []
-        epoch = document.get("epoch")
-        urls = [
-            str(entry["url"])
-            for entry in entries
-            if isinstance(entry, dict) and "url" in entry
-        ]
-        names = [
-            str(entry.get("name", entry["url"]))
-            for entry in entries
-            if isinstance(entry, dict) and "url" in entry
-        ]
-        if urls and (
-            not isinstance(epoch, int)
-            or epoch != self._topology_epoch
-            or not self._endpoints
-        ):
-            self.set_replicas(urls, names)
-        if isinstance(epoch, int):
-            self._topology_epoch = epoch
-        return urls
-
-    @property
-    def topology_epoch(self) -> Optional[int]:
-        """The router topology epoch last seen by discovery."""
-        return self._topology_epoch
-
-    def _maybe_rediscover(self, force: bool = False) -> None:
-        """Opportunistic topology refresh; never raises.
-
-        ``force`` is the failure path (all breakers refusing, or a
-        transport error that smells like a moved fleet) and is
-        throttled to twice a second so a hard outage cannot turn into
-        a /readyz stampede.
-        """
-        if not self._discover:
-            return
-        now = time.monotonic()
-        since = now - self._last_discovery
-        due = force and since >= 0.5
-        if not due and self._discover_interval is not None:
-            due = since >= self._discover_interval
-        if not due:
-            return
-        try:
-            self.discover_replicas()
-        except ClientError:
-            pass  # the router itself is unreachable; retries handle it
 
     # ------------------------------------------------------------------ #
     # transport with retry
@@ -423,15 +215,7 @@ class SwapClient:
         deterministic server reply closes it (the transport worked),
         and an exhausted retry budget or open-circuit refusal counts
         as one failure.
-
-        With a replica set installed, ``/v1/*`` requests take the
-        replicated path instead (per-replica breakers, fail-over
-        rotation, optional hedging); ops routes stay on ``base_url``.
         """
-        if self._endpoints and path.startswith("/v1/"):
-            return self._request_replicated(
-                method, path, body, content_type, attempts
-            )
         if self.circuit is None:
             return self._attempts(method, path, body, content_type, attempts)
         if not self.circuit.allow():
@@ -456,15 +240,13 @@ class SwapClient:
         content_type: str,
         attempts: Optional[int],
     ) -> Tuple[int, bytes]:
-        """The retry loop itself (circuit-unaware, single endpoint)."""
+        """The retry loop itself (circuit-unaware)."""
         budget = attempts if attempts is not None else self.retry.max_attempts
         last: Exception = ClientError("no attempt made")
         for attempt in range(budget):
             retry_after: Optional[float] = None
             try:
-                return self._one_try(
-                    self.base_url, method, path, body, content_type
-                )
+                return self._one_try(method, path, body, content_type)
             except ServerReplyError as reply:
                 if not reply.retryable:
                     raise
@@ -478,28 +260,24 @@ class SwapClient:
 
     def _one_try(
         self,
-        base_url: str,
         method: str,
         path: str,
         body: Optional[bytes],
         content_type: str,
     ) -> Tuple[int, bytes]:
-        """Exactly one HTTP exchange against one endpoint.
+        """Exactly one HTTP exchange; ``(status, body)`` on success.
 
-        Success returns ``(status, body)`` and records the latency
-        sample hedging feeds on. Failures are normalised: any HTTP
-        error raises :class:`ServerReplyError` (with ``retry_after``
-        attached), any transport failure raises a bare
-        :class:`ClientError`.
+        Failures are normalised: any HTTP error raises
+        :class:`ServerReplyError` (with ``retry_after`` attached), any
+        transport failure raises a bare :class:`ClientError`.
         """
         request = urllib.request.Request(
-            base_url + path, data=body, method=method
+            self.base_url + path, data=body, method=method
         )
         if body is not None:
             request.add_header("Content-Type", content_type)
         if self.admin_token is not None and path.startswith("/admin/"):
             request.add_header("Authorization", f"Bearer {self.admin_token}")
-        started = time.perf_counter()
         try:
             if self.faults.enabled:
                 if self.faults.fires("http_drop", key=path):
@@ -508,9 +286,7 @@ class SwapClient:
             with urllib.request.urlopen(
                 request, timeout=self.timeout
             ) as response:
-                outcome = response.status, response.read()
-            self._latencies.append(time.perf_counter() - started)
-            return outcome
+                return response.status, response.read()
         except urllib.error.HTTPError as exc:
             payload = exc.read()
             reply = ServerReplyError(exc.code, _envelope_error(payload))
@@ -528,179 +304,6 @@ class SwapClient:
             raise ClientError(
                 f"connection failed: {exc.__class__.__name__}: {exc}"
             ) from None
-
-    # ------------------------------------------------------------------ #
-    # the replicated path: fail-over rotation + hedging
-    # ------------------------------------------------------------------ #
-
-    def _request_replicated(
-        self,
-        method: str,
-        path: str,
-        body: Optional[bytes],
-        content_type: str,
-        attempts: Optional[int],
-    ) -> Tuple[int, bytes]:
-        """The retry loop over a replica set.
-
-        Each attempt goes to the next replica whose breaker admits it
-        -- fail-over *is* the retry. A deterministic server reply
-        surfaces immediately (and counts as breaker success: the
-        transport worked); transport failures and exhausted hedges
-        debit the replica they hit.
-        """
-        budget = attempts if attempts is not None else self.retry.max_attempts
-        last: Exception = ClientError("no attempt made")
-        self._maybe_rediscover()
-        for attempt in range(budget):
-            endpoint = self._next_endpoint()
-            if endpoint is None:
-                # every breaker refuses: the topology may have moved
-                # out from under us -- re-read it before giving up
-                self._maybe_rediscover(force=True)
-                endpoint = self._next_endpoint()
-            if endpoint is None:
-                raise CircuitOpenError("open")
-            backup = (
-                self._next_endpoint(exclude=endpoint)
-                if self._should_hedge(path)
-                else None
-            )
-            retry_after: Optional[float] = None
-            try:
-                if backup is not None:
-                    # the hedged exchange does its own breaker accounting
-                    # (two arms, two breakers) -- don't double-record here
-                    return self._hedged_try(
-                        endpoint, backup, method, path, body, content_type
-                    )
-                outcome = self._one_try(
-                    endpoint.url, method, path, body, content_type
-                )
-                endpoint.breaker.record_success()
-                return outcome
-            except ServerReplyError as reply:
-                if backup is None:
-                    endpoint.breaker.record_success()
-                if not reply.retryable:
-                    raise
-                retry_after = reply.retry_after
-                last = reply
-            except ClientError as exc:
-                if backup is None:
-                    endpoint.breaker.record_failure()
-                last = exc
-                # a dropped connection on the replicated path often
-                # means the replica was restarted or removed
-                self._maybe_rediscover(force=True)
-            if attempt + 1 < budget:
-                self._sleep(self.retry.delay(attempt, self._rng, retry_after))
-        raise RetriesExhaustedError(budget, last)
-
-    def _next_endpoint(
-        self, exclude: Optional[_Endpoint] = None
-    ) -> Optional[_Endpoint]:
-        """The next replica (rotation order) whose breaker admits a
-        call; ``None`` when every breaker refuses."""
-        for _step in range(len(self._endpoints)):
-            endpoint = self._endpoints[self._rotation % len(self._endpoints)]
-            self._rotation += 1
-            if endpoint is exclude:
-                continue
-            if endpoint.breaker.allow():
-                return endpoint
-        return None
-
-    def _should_hedge(self, path: str) -> bool:
-        return (
-            self.hedge is not None
-            and len(self._endpoints) >= 2
-            and path.split("?", 1)[0] in _HEDGEABLE_PATHS
-        )
-
-    def _hedged_try(
-        self,
-        primary: _Endpoint,
-        backup: _Endpoint,
-        method: str,
-        path: str,
-        body: Optional[bytes],
-        content_type: str,
-    ) -> Tuple[int, bytes]:
-        """One hedged exchange: primary first, backup after the delay.
-
-        First answer wins; the loser finishes in the background and
-        still reports to its replica's breaker. Raises the *last*
-        failure only when both arms fail.
-        """
-        if self._hedge_metrics is None:
-            from repro.server.metrics import HedgeMetrics
-
-            self._hedge_metrics = HedgeMetrics()
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=4, thread_name_prefix="repro-hedge"
-            )
-        arms = {}
-        future = self._pool.submit(
-            self._one_try, primary.url, method, path, body, content_type
-        )
-        arms[future] = ("primary", primary)
-        done, _pending = _futures_wait(
-            arms, timeout=self.hedge.delay_from(tuple(self._latencies))
-        )
-        if not done:
-            # the primary is officially slow: launch the hedge arm
-            self._hedge_metrics.requests.inc()
-            hedge_future = self._pool.submit(
-                self._one_try, backup.url, method, path, body, content_type
-            )
-            arms[hedge_future] = ("hedge", backup)
-        hedged = len(arms) > 1
-        failure: Optional[Exception] = None
-        while arms:
-            done, _pending = _futures_wait(
-                arms, return_when=FIRST_COMPLETED
-            )
-            for future in done:
-                arm, endpoint = arms.pop(future)
-                try:
-                    outcome = future.result()
-                except ServerReplyError as reply:
-                    endpoint.breaker.record_success()
-                    if not reply.retryable:
-                        self._absorb_losers(arms)
-                        raise
-                    failure = reply
-                    continue
-                except ClientError as exc:
-                    endpoint.breaker.record_failure()
-                    failure = exc
-                    continue
-                endpoint.breaker.record_success()
-                if hedged:
-                    self._hedge_metrics.wins.inc(arm=arm)
-                self._absorb_losers(arms)
-                return outcome
-        assert failure is not None
-        raise failure
-
-    def _absorb_losers(self, arms: dict) -> None:
-        """Let losing arms finish in the background, feeding breakers."""
-        for future, (_arm, endpoint) in arms.items():
-            future.add_done_callback(self._absorber(endpoint))
-        arms.clear()
-
-    @staticmethod
-    def _absorber(endpoint: _Endpoint) -> Callable:
-        def _done(future) -> None:
-            exc = future.exception()
-            if exc is None or isinstance(exc, ServerReplyError):
-                endpoint.breaker.record_success()
-            else:
-                endpoint.breaker.record_failure()
-
-        return _done
 
     def _json(self, method: str, path: str, payload: Optional[dict] = None) -> dict:
         body = (

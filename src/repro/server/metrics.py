@@ -8,8 +8,8 @@ Three families, bound once per process against the active
 * ``repro_router_*`` (:class:`RouterMetrics`) -- the sharded tier's
   proxy accounting: per-replica traffic and latency, re-routes,
   breaker states;
-* ``repro_hedge_*`` (:class:`HedgeMetrics`) -- the replica-aware
-  client's hedged-request accounting (which arm won).
+* ``repro_supervisor_*`` (:class:`SupervisorMetrics`) -- the router's
+  replica supervisor: restarts, failed restarts, backoff, parking.
 
 Route labels are always one of the fixed route patterns (unknown paths
 collapse to ``unknown``), method labels ``GET``, ``POST`` or ``other``,
@@ -26,7 +26,6 @@ from repro.obs.metrics import get_registry
 __all__ = [
     "HTTPMetrics",
     "RouterMetrics",
-    "HedgeMetrics",
     "SupervisorMetrics",
     "RESPONSE_BYTE_BUCKETS",
     "PROXY_SECOND_BUCKETS",
@@ -214,21 +213,3 @@ class SupervisorMetrics:
         self.failures.inc(0, replica=name)
         self.backoff.set(0, replica=name)
         self.parked.set(0, replica=name)
-
-
-class HedgeMetrics:
-    """The replica-aware client's hedging instruments (``repro_hedge_*``)."""
-
-    def __init__(self) -> None:
-        registry = get_registry()
-        self.requests = registry.counter(
-            "repro_hedge_requests_total",
-            help="Logical requests that launched a hedge arm.",
-        )
-        self.wins = registry.counter(
-            "repro_hedge_wins_total",
-            help="Which arm answered first, for hedged requests.",
-            labelnames=("arm",),
-        )
-        for arm in ("primary", "hedge"):
-            self.wins.inc(0, arm=arm)

@@ -4,15 +4,14 @@ Runs the real router over real local-role replicas (static
 endpoints, so no subprocess cold starts) and exercises the control
 plane end to end: bearer auth, the topology document, url-mode add and
 two-phase remove under traffic, conflict races, the
-``admin_partition`` chaos kind, client topology re-discovery keyed on
-the ``/readyz`` epoch, and the hot-key response cache with its
-epoch-wide invalidation.
+``admin_partition`` chaos kind, and the hot-key response cache with
+its epoch-wide invalidation.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
-import time
 
 import pytest
 
@@ -134,6 +133,32 @@ class TestTopologyDocument:
             assert "supervisor" not in entry
         assert doc["admission"]["depth"] == router.config.queue_depth
 
+    @pytest.mark.parametrize(
+        "method, path, allow",
+        [
+            ("POST", "/admin/v1/topology", "GET, HEAD"),
+            ("GET", "/admin/v1/replicas", "POST"),
+        ],
+    )
+    def test_wrong_method_is_405_with_allow(
+        self, registry, admin_sharded, method, path, allow
+    ):
+        router, _client = admin_sharded()
+        conn = http.client.HTTPConnection("127.0.0.1", router.port, timeout=10.0)
+        try:
+            conn.request(
+                method,
+                path,
+                body=b"{}" if method == "POST" else None,
+                headers={"Authorization": f"Bearer {TOKEN}"},
+            )
+            response = conn.getresponse()
+            body = json.loads(response.read())
+        finally:
+            conn.close()
+        assert (response.status, response.getheader("Allow")) == (405, allow)
+        assert body["error"]["code"] == "method_not_allowed"
+
 
 class TestLiveReshard:
     def test_url_add_grows_the_ring_and_takes_traffic(
@@ -243,32 +268,6 @@ class TestAdminPartition:
             client.admin_topology()
         # the data plane was never partitioned
         assert client.solve(pstar=2.0).success_rate is not None
-
-
-class TestClientRediscovery:
-    def test_epoch_change_is_picked_up_without_restart(
-        self, registry, admin_sharded, make_server
-    ):
-        router, client = admin_sharded(
-            discover=True, discover_interval=0.05
-        )
-        client.discover_replicas()
-        assert client.topology_epoch == 1
-        assert len(client._endpoints) == 2
-        third = make_server()
-        client.admin_add(url=f"http://127.0.0.1:{third.port}")
-        time.sleep(0.06)  # the periodic refresh falls due
-        # an ordinary data-plane call notices the new topology en route
-        assert client.solve(pstar=2.0).success_rate is not None
-        assert client.topology_epoch == 2
-        assert len(client._endpoints) == 3
-
-    def test_same_epoch_refresh_changes_nothing(self, registry, admin_sharded):
-        router, client = admin_sharded(discover=True)
-        client.discover_replicas()
-        endpoints = client._endpoints
-        client.discover_replicas()  # same epoch: breakers keep history
-        assert client._endpoints is endpoints
 
 
 class TestRouterResponseCache:

@@ -6,9 +6,9 @@ between them holds by construction. This suite drives *raw sockets*
 (no client-library smoothing) and pins the exact bytes every role must
 send: status, body, ``Content-Type`` and ``Retry-After`` for the happy
 paths (rendered by a fresh in-process service), the error taxonomy,
-load shedding, and the framing rules for malformed, oversized and
-unfinished requests (RFC 9112). The ``Server`` header is asserted
-nowhere.
+load shedding, ``HEAD`` and ``Allow`` (RFC 9110), and the framing rules
+for malformed, oversized, unfinished and unread exchanges (RFC 9112).
+The ``Server`` header is asserted nowhere.
 """
 
 from __future__ import annotations
@@ -57,6 +57,16 @@ CONFIG = dict(
 ROLES = ("local", "router")
 
 
+def parse_head(head: bytes) -> Tuple[int, Dict[str, str]]:
+    """A response head (without its blank line); ``(status, headers)``."""
+    lines = head.decode("latin-1").split("\r\n")
+    headers: Dict[str, str] = {}
+    for line in lines[1:]:
+        name, _s, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return int(lines[0].split(" ", 2)[1]), headers
+
+
 def exchange(
     port: int, raw: bytes, timeout: float = 30.0
 ) -> Tuple[int, Dict[str, str], bytes]:
@@ -70,12 +80,7 @@ def exchange(
                 raise AssertionError(f"connection closed before headers: {data!r}")
             data += chunk
         head, _sep, body = data.partition(b"\r\n\r\n")
-        lines = head.decode("latin-1").split("\r\n")
-        status = int(lines[0].split(" ", 2)[1])
-        headers: Dict[str, str] = {}
-        for line in lines[1:]:
-            name, _s, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip()
+        status, headers = parse_head(head)
         want = int(headers.get("content-length", "0"))
         while len(body) < want:
             chunk = sock.recv(65536)
@@ -171,6 +176,7 @@ def assert_reply(
     body: bytes,
     content_type: str = "application/json",
     retry_after: Optional[str] = None,
+    allow: Optional[str] = None,
 ) -> None:
     """Send ``raw`` to every role; each must answer exactly this."""
     for role, port in ports.items():
@@ -178,6 +184,7 @@ def assert_reply(
         assert (got[0], got[2]) == (status, body), role
         assert got[1].get("content-type") == content_type, role
         assert got[1].get("retry-after") == retry_after, role
+        assert got[1].get("allow") == allow, role
 
 
 SOLVE = json.dumps({"pstar": 2.0, "collateral": 0.0}).encode()
@@ -238,10 +245,13 @@ class TestErrorTaxonomyParity:
     def test_wrong_method_405(self, roles):
         raw = request_bytes("GET", "/v1/solve")
         expected = envelope(method_not_allowed_error("GET", "/v1/solve"))
-        assert_reply(roles, raw, 405, expected)
+        assert_reply(roles, raw, 405, expected, allow="POST")
         raw = request_bytes("POST", "/v1/sweep", b"{}")
         expected = envelope(method_not_allowed_error("POST", "/v1/sweep"))
-        assert_reply(roles, raw, 405, expected)
+        assert_reply(roles, raw, 405, expected, allow="GET, HEAD")
+        raw = request_bytes("POST", "/healthz", b"{}")
+        expected = envelope(method_not_allowed_error("POST", "/healthz"))
+        assert_reply(roles, raw, 405, expected, allow="GET, HEAD")
 
     def test_unparseable_json_400(self, roles):
         raw = request_bytes("POST", "/v1/solve", b"not json")
@@ -298,7 +308,47 @@ class TestErrorTaxonomyParity:
         status, headers, body = exchange(role_port, raw)
         assert status == 405
         assert headers["content-type"] == "application/json"
+        assert headers["allow"] == "POST"
         assert body == envelope(method_not_allowed_error("PUT", "/v1/solve"))
+
+
+class TestHead:
+    """``HEAD`` is ``GET`` without the body (RFC 9110 §9.3.2), and the
+    keep-alive connection stays in step for the next request."""
+
+    NEXT = b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+
+    def head_then_next(
+        self, port: int, target: str
+    ) -> Tuple[int, Dict[str, str], bytes]:
+        """``HEAD target``, then a GET on the same connection: the HEAD's
+        status and headers, and every byte after its head."""
+        raw = f"HEAD {target} HTTP/1.1\r\nHost: x\r\n\r\n".encode() + self.NEXT
+        data, _seconds = read_to_close(port, raw, timeout=30.0)
+        head, _sep, rest = data.partition(b"\r\n\r\n")
+        return (*parse_head(head), rest)
+
+    @pytest.mark.parametrize(
+        "target", ["/healthz", "/v1/sweep?pstars=1.5,2.0&collateral=0.0"]
+    )
+    def test_get_routes_answer_with_the_get_head_and_no_body(
+        self, role_port, target
+    ):
+        exchange(role_port, request_bytes("GET", target))  # cache the sweep
+        status, headers, body = exchange(role_port, request_bytes("GET", target))
+        assert status == 200
+        status, head_headers, rest = self.head_then_next(role_port, target)
+        assert status == 200
+        assert head_headers["content-length"] == str(len(body))
+        assert head_headers["content-type"] == headers["content-type"]
+        # no body: the next bytes on the wire are the next request's reply
+        assert rest.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert rest.endswith(b'{"ok":true,"status":"alive"}')
+
+    def test_post_route_is_405_with_allow_and_no_body(self, role_port):
+        status, headers, rest = self.head_then_next(role_port, "/v1/solve")
+        assert (status, headers["allow"]) == (405, "POST")
+        assert rest.startswith(b"HTTP/1.1 200 OK\r\n")
 
 
 def saturate(port: int, gate: GatedService, raw: bytes):
@@ -430,6 +480,31 @@ class TestFraming:
         assert b"\r\nConnection: close\r\n" in data
         assert seconds < 5.0
 
+    def test_a_client_that_stops_reading_is_closed_at_the_bound(
+        self, role_port, monkeypatch
+    ):
+        monkeypatch.setattr(aio, "READ_TIMEOUT", 0.5)
+        count = 4000  # ~18 MB of /metrics replies: more than socket buffers hold
+        with socket.socket() as sock:
+            # a small receive window makes the server's writes stall early
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.settimeout(30.0)
+            sock.connect(("127.0.0.1", role_port))
+            sock.sendall(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n" * count)
+            time.sleep(3.0)  # read nothing for six bounds
+            chunks = []
+            try:
+                while True:
+                    chunk = sock.recv(1 << 16)
+                    if not chunk:
+                        break
+                    chunks.append(chunk)
+            except ConnectionResetError:
+                pass
+        # the server gave up on the connection instead of holding the
+        # rest of the replies for as long as the client stays silent
+        assert 0 < b"".join(chunks).count(b"HTTP/1.1 200 OK\r\n") < count
+
     def test_keep_alive_serves_requests_back_to_back(self, role_port):
         one = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
         data, _seconds = read_to_close(
@@ -485,6 +560,7 @@ def malformed_requests(draw) -> Tuple[bytes, bool]:
                 ("POST", "/v1/solve"),
                 ("POST", "/v1/batch"),
                 ("DELETE", "/nope"),
+                ("HEAD", "/healthz"),
             ]
         )
     )
@@ -548,6 +624,9 @@ class TestMalformedHeadProperty:
         status = int(head.split(b" ", 2)[1])
         assert 400 <= status < 500, data
         assert b"\r\nConnection: close" in head
+        if raw.startswith(b"HEAD "):
+            assert body == b""  # not even a 400 carries a body to a HEAD
+            return
         error = json.loads(body)["error"]
         assert json.loads(body)["ok"] is False
         assert error["retryable"] is False

@@ -122,10 +122,17 @@ class TestRetryPolicy:
         assert policy.delay(0, rng, retry_after=99.0) <= 0.5
 
     def test_invalid_policy_rejected(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(base_delay=0.0)
+        for field, value in [
+            ("max_attempts", 0),
+            ("max_attempts", 2.5),  # would fail later, in range()
+            ("base_delay", 0.0),
+            ("base_delay", float("nan")),
+            ("max_delay", -1.0),
+            ("max_delay", float("nan")),  # would fail later, in sleep()
+            ("max_delay", float("inf")),
+        ]:
+            with pytest.raises(ValueError, match=field):
+                RetryPolicy(**{field: value})
 
 
 class TestRetryTaxonomy:
