@@ -14,10 +14,11 @@ a locked-in asset*. This module adds both through one mechanism:
   are worth more.
 
 Every stage utility keeps the base model's linear-in-price structure,
-so the closed forms survive with per-branch carry factors; the ``t2``
-utilities are recomputed generically from the (overridden) ``t3``
-slopes and constants. ``q_a = q_b = 0`` reduces exactly to the basic
-model (property-tested).
+so the carry is one payoff schedule (:func:`carry_schedule`) with
+per-branch carry factors, which :class:`CarryBackwardInduction` hands
+to the shared induction in :mod:`repro.core.backward_induction`.
+``q_a = q_b = 0`` is the basic schedule field for field, so it reduces
+exactly to the basic model (property-tested).
 
 Economic effect: a high Token_b staking yield ``q_b`` makes *keeping*
 Token_b more attractive for Bob (his ``t2`` region narrows -- staking
@@ -29,14 +30,46 @@ attractive for Alice (her reveal threshold drops); the net effect on
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
-import numpy as np
-
-from repro.core.backward_induction import BackwardInduction, _as_array
+from repro.core.backward_induction import (
+    BackwardInduction,
+    PayoffSchedule,
+    basic_schedule,
+)
 from repro.core.parameters import SwapParameters
-from repro.stochastic.quadrature import expectation_on_interval
 
-__all__ = ["CarryBackwardInduction"]
+__all__ = ["CarryBackwardInduction", "carry_schedule"]
+
+
+def carry_schedule(
+    params: SwapParameters, pstar: float, yield_a: float, yield_b: float
+) -> PayoffSchedule:
+    """The basic schedule with every branch's carry to game end.
+
+    A token received at ``t`` earns its wallet yield (``q_a`` on
+    Token_a, ``q_b`` on Token_b) from ``t`` to ``t_end = max(t7, t8)``.
+    """
+    grid = params.grid
+    t_end = max(grid.t7, grid.t8)
+
+    def carry_a(receipt_time: float) -> float:
+        return math.exp(yield_a * (t_end - receipt_time))
+
+    def carry_b(receipt_time: float) -> float:
+        return math.exp(yield_b * (t_end - receipt_time))
+
+    basic = basic_schedule(params, pstar)
+    return basic._replace(
+        alice_claim=basic.alice_claim * carry_b(grid.t5),
+        alice_refund=basic.alice_refund * carry_a(grid.t8),
+        bob_redeem=basic.bob_redeem * carry_a(grid.t6),
+        bob_refund=basic.bob_refund * carry_b(grid.t7),
+        alice_walked=basic.alice_walked * carry_a(grid.t8),
+        bob_keep=carry_b(grid.t2),
+        alice_stay=pstar * carry_a(0.0),
+        bob_stay=params.p0 * carry_b(0.0),
+    )
 
 
 class CarryBackwardInduction(BackwardInduction):
@@ -55,112 +88,7 @@ class CarryBackwardInduction(BackwardInduction):
         super().__init__(params, pstar, **kwargs)
         self.yield_a = float(yield_a)
         self.yield_b = float(yield_b)
-        grid = params.grid
-        self._t_end = max(grid.t7, grid.t8)
-        self._grid = grid
 
-    # ------------------------------------------------------------------ #
-    # carry factors
-    # ------------------------------------------------------------------ #
-
-    def _carry_a(self, receipt_time: float) -> float:
-        """Yield accrued by Token_a from ``receipt_time`` to game end."""
-        return math.exp(self.yield_a * (self._t_end - receipt_time))
-
-    def _carry_b(self, receipt_time: float) -> float:
-        """Yield accrued by Token_b from ``receipt_time`` to game end."""
-        return math.exp(self.yield_b * (self._t_end - receipt_time))
-
-    # ------------------------------------------------------------------ #
-    # t3 stage (carry-adjusted Eqs. (14)-(18))
-    # ------------------------------------------------------------------ #
-
-    def alice_t3_cont(self, p3):
-        """Eq. (14) with Token_b staked from ``t5`` to game end."""
-        out = _as_array(super().alice_t3_cont(p3)) * self._carry_b(self._grid.t5)
-        return out if out.ndim else float(out)
-
-    def alice_t3_stop(self) -> float:
-        """Eq. (16) with the refunded Token_a staked from ``t8``."""
-        return super().alice_t3_stop() * self._carry_a(self._grid.t8)
-
-    def bob_t3_cont(self) -> float:
-        """Eq. (15) with Token_a staked from ``t6``."""
-        return super().bob_t3_cont() * self._carry_a(self._grid.t6)
-
-    def bob_t3_stop(self, p3):
-        """Eq. (17) with the refunded Token_b staked from ``t7``."""
-        out = _as_array(super().bob_t3_stop(p3)) * self._carry_b(self._grid.t7)
-        return out if out.ndim else float(out)
-
-    def p3_threshold(self) -> float:
-        """The carry-adjusted indifference price at ``t3``.
-
-        ``alice_t3_cont`` stays linear through the origin, so the
-        threshold is ``stop_value / slope``.
-        """
-        slope = float(self.alice_t3_cont(1.0))
-        return self.alice_t3_stop() / slope
-
-    # ------------------------------------------------------------------ #
-    # t2 stage: generic closed forms from the t3 slopes/constants
-    # ------------------------------------------------------------------ #
-
-    def alice_t2_cont(self, p2):
-        """Eq. (20) with carry factors folded into the branch values."""
-        p = self.params
-        cdf, _, partial_below = self._t2_law_pieces(p2)
-        p2 = _as_array(p2)
-        mean = p2 * math.exp(p.mu * p.tau_b)
-        partial_above = np.maximum(mean - partial_below, 0.0)
-        slope = float(self.alice_t3_cont(1.0))
-        out = (slope * partial_above + cdf * self.alice_t3_stop()) * math.exp(
-            -p.alice.r * p.tau_b
-        )
-        return out if out.ndim else float(out)
-
-    def bob_t2_cont(self, p2):
-        """Eq. (21) with carry factors folded into the branch values."""
-        p = self.params
-        _, survival, partial_below = self._t2_law_pieces(p2)
-        slope_stop = float(self.bob_t3_stop(1.0))
-        out = (survival * self.bob_t3_cont() + slope_stop * partial_below) * math.exp(
-            -p.bob.r * p.tau_b
-        )
-        return out if out.ndim else float(out)
-
-    def alice_t2_stop(self) -> float:
-        """Eq. (22) with the refunded Token_a staked from ``t8``."""
-        return super().alice_t2_stop() * self._carry_a(self._grid.t8)
-
-    def bob_t2_stop(self, p2):
-        """Eq. (23): Bob keeps Token_b and stakes it from ``t2``."""
-        out = _as_array(p2) * self._carry_b(self._grid.t2)
-        return out if out.ndim else float(out)
-
-    # ------------------------------------------------------------------ #
-    # t1 stage
-    # ------------------------------------------------------------------ #
-
-    def bob_t1_cont(self) -> float:
-        """Eq. (26); the outside branch now carries the Token_b yield."""
-        p = self.params
-        law = self._law(p.p0, p.tau_a)
-        region = self.bob_t2_region()
-        inside = sum(
-            expectation_on_interval(law, self.bob_t2_cont, lo, hi, self.quad_order)
-            for lo, hi in region.intervals
-        )
-        inside_price_mass = sum(
-            law.partial_expectation_between(lo, hi) for lo, hi in region.intervals
-        )
-        outside = (law.mean() - inside_price_mass) * self._carry_b(self._grid.t2)
-        return (inside + outside) * math.exp(-p.bob.r * p.tau_a)
-
-    def alice_t1_stop(self) -> float:
-        """Eq. (27): Token_a staked over the whole game window."""
-        return self.pstar * self._carry_a(0.0)
-
-    def bob_t1_stop(self) -> float:
-        """Eq. (28): Token_b staked over the whole game window."""
-        return self.params.p0 * self._carry_b(0.0)
+    @cached_property
+    def _schedule(self) -> PayoffSchedule:
+        return carry_schedule(self.params, self.pstar, self.yield_a, self.yield_b)

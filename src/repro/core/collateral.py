@@ -16,20 +16,28 @@ Timing/discount conventions follow the paper's Eqs. (33)-(39) read
 literally, with the typo normalisations listed in DESIGN.md ("tau_e"
 := ``eps_b``; Eq. (37)'s outer discount uses Bob's own rate).
 
-Setting ``Q = 0`` reproduces the basic model exactly (property-tested).
+These flows are one payoff schedule,
+:func:`~repro.core.backward_induction.collateral_schedule`, which the
+grid engine reads over its whole ``P*`` axis;
+:class:`CollateralBackwardInduction` reads it at one ``P*``. At
+``Q = 0`` it is the basic schedule field for field, so the basic model
+is reproduced exactly (property-tested).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
-from repro.core.backward_induction import BackwardInduction, _as_array
+from repro.core.backward_induction import (
+    BackwardInduction,
+    PayoffSchedule,
+    collateral_schedule,
+)
 from repro.core.equilibrium import StageUtilities
 from repro.core.parameters import SwapParameters
 from repro.core.strategy import AliceStrategy, BobStrategy
-from repro.stochastic.quadrature import expectation_on_interval
 from repro.stochastic.rootfind import IntervalUnion
 
 __all__ = [
@@ -64,104 +72,9 @@ class CollateralBackwardInduction(BackwardInduction):
         super().__init__(params, pstar, **kwargs)
         self.collateral = float(collateral)
 
-    # ------------------------------------------------------------------ #
-    # t3: Alice's threshold shifts down (Eqs. (33)-(34))
-    # ------------------------------------------------------------------ #
-
-    def p3_threshold(self) -> float:
-        """Eq. (34): ``P̲_{t3,c}``, zero when the collateral dominates.
-
-        Continuing now also recovers Alice's own deposit (received at
-        ``t4 + tau_a``), so the stop branch must beat the refund value
-        *minus* the discounted deposit.
-        """
-        p = self.params
-        a = self._alice
-        stop_value = self.pstar * math.exp(-a.r * (p.eps_b + 2.0 * p.tau_a))
-        deposit_value = self.collateral * math.exp(-a.r * (p.eps_b + p.tau_a))
-        net = max(stop_value - deposit_value, 0.0)
-        return math.exp((a.r - p.mu) * p.tau_b) * net / (1.0 + a.alpha)
-
-    # ------------------------------------------------------------------ #
-    # t2 utilities (Eq. (35))
-    # ------------------------------------------------------------------ #
-
-    def alice_t2_cont(self, p2):
-        """Eq. (35, first): basic Eq. (20) plus Alice's recovered deposit.
-
-        The deposit flows back only on the continuation branch; when
-        Alice waives at ``t3`` it is forfeited to Bob.
-        """
-        base = _as_array(super().alice_t2_cont(p2))
-        p = self.params
-        a = self._alice
-        _, survival, _ = self._t2_law_pieces(p2)
-        deposit = (
-            self.collateral
-            * math.exp(-a.r * (p.eps_b + p.tau_a))
-            * survival
-            * math.exp(-a.r * p.tau_b)
-        )
-        out = base + deposit
-        return out if out.ndim else float(out)
-
-    def bob_t2_cont(self, p2):
-        """Eq. (35, second): locking recovers Bob's deposit, and if Alice
-        then waives Bob additionally receives *her* forfeited deposit.
-        """
-        base = _as_array(super().bob_t2_cont(p2))
-        p = self.params
-        b = self._bob
-        cdf, _, _ = self._t2_law_pieces(p2)
-        own_deposit = self.collateral * math.exp(-b.r * p.tau_a)
-        alices_deposit = (
-            self.collateral * math.exp(-b.r * (p.eps_b + p.tau_a)) * cdf
-        )
-        out = base + (own_deposit + alices_deposit) * math.exp(-b.r * p.tau_b)
-        return out if out.ndim else float(out)
-
-    def alice_t2_stop_value(self) -> float:
-        """Alice's ``t2`` value when Bob walks away: refund plus both deposits.
-
-        The Oracle hands her ``2Q`` at ``t3``, received at
-        ``t3 + tau_a`` (Eq. (36)'s stop branch).
-        """
-        p = self.params
-        a = self._alice
-        return self.alice_t2_stop() + 2.0 * self.collateral * math.exp(
-            -a.r * (p.tau_b + p.tau_a)
-        )
-
-    # ------------------------------------------------------------------ #
-    # t1 utilities (Eqs. (36)-(39))
-    # ------------------------------------------------------------------ #
-
-    def alice_t1_cont(self) -> float:
-        """Eq. (36): like Eq. (25) but with collateral-adjusted branch values."""
-        p = self.params
-        a = self._alice
-        law = self._law(p.p0, p.tau_a)
-        region = self.bob_t2_region()
-        inside = sum(
-            expectation_on_interval(law, self.alice_t2_cont, lo, hi, self.quad_order)
-            for lo, hi in region.intervals
-        )
-        prob_inside = region.probability(law)
-        outside = (1.0 - prob_inside) * self.alice_t2_stop_value()
-        return (inside + outside) * math.exp(-a.r * p.tau_a)
-
-    def alice_t1_stop(self) -> float:
-        """Eq. (38): walk away with ``P*`` Token_a and the deposit."""
-        return self.pstar + self.collateral
-
-    def bob_t1_stop(self) -> float:
-        """Eq. (39): keep Token_b (worth ``p0``) and the deposit."""
-        return self.params.p0 + self.collateral
-
-    # bob_t1_cont is inherited: Eq. (37) has the same structure as Eq. (26)
-    # with the collateral-adjusted bob_t2_cont on the inside branch and the
-    # unadjusted "keep Token_b" value outside (Bob's deposit is forfeited
-    # there, so no extra term appears).
+    @cached_property
+    def _schedule(self) -> PayoffSchedule:
+        return collateral_schedule(self.params, self.pstar, self.collateral)
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,14 @@ rate at a time. :class:`GridSolver` evaluates the entire grid at once:
 
 * one shared ``t1`` law (``params.law`` stepped over ``tau_a`` from
   ``p0``) and one Gauss--Legendre node set serve every point;
-* the ``t3`` thresholds, the ``t2`` scan grids, Bob's advantage
-  function, the endpoint roots, and the ``t1`` quadratures are computed
-  as broadcast NumPy operations over the ``P*`` axis;
+* the stage payoffs are the Section IV
+  :func:`~repro.core.backward_induction.collateral_schedule` built over
+  the ``P*`` axis, and the ``t3`` thresholds, ``t2`` continuation values
+  and ``t1`` values are that schedule's own methods -- the ones the
+  scalar solvers call at one ``P*``;
+* the ``t2`` scan grids, Bob's advantage function, the endpoint roots,
+  and the ``t1`` quadratures are computed as broadcast NumPy operations
+  over the ``P*`` axis;
 * the scan is *certified*: Bob's advantage is evaluated on every
   ``_SCAN_BLOCK``-th column and its sign proven on the blocks between
   them from the monotonicity of the transition pieces in the spot, so
@@ -28,12 +33,12 @@ Array layout convention (see DESIGN.md): the leading axis is always the
 bracket and interval data are *flattened* into ``(rows, lo, hi)``
 triples because different grid points own different numbers of
 roots/intervals, and per-point results are recovered with
-``np.bincount(rows, weights=..., minlength=n)`` scatter-adds. The
-kernels replicate the scalar formulas operation for operation, so the
-scalar solvers remain the single-point reference view -- parity is
-property-tested to ``|delta| <= 1e-9`` (``tests/core/test_grid_parity.py``);
-the only numerical difference is the refiner's (Chandrupatla vs Brent,
-~1e-12 at the region roots).
+``np.bincount(rows, weights=..., minlength=n)`` scatter-adds. Because
+both solvers read one schedule, the scalar solvers differ from the
+engine only in how they locate and integrate Bob's region: Brent vs
+the Chandrupatla refiner (~1e-12 at the region roots) and per-interval
+vs batched quadrature (~1 ulp). ``tests/core/test_grid_parity.py``
+holds the two to ``|delta| <= 1e-9``.
 
 Every solve lands in the active :mod:`repro.obs` registry:
 ``repro_grid_solves_total``, ``repro_grid_points`` (grid-size
@@ -49,6 +54,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.core.backward_induction import PayoffSchedule, collateral_schedule
 from repro.core.equilibrium import StageUtilities, SwapEquilibrium
 from repro.core.parameters import SwapParameters
 from repro.core.strategy import AliceStrategy, BobStrategy
@@ -186,9 +192,8 @@ class GridSolver:
     params:
         Model parameters (Table III), shared by every grid point.
     collateral:
-        Deposit ``Q`` of the Section IV game; ``0`` solves the basic
-        game (and matches :class:`BackwardInduction` formulas exactly,
-        not the ``Q -> 0`` limit of the collateral ones).
+        Deposit ``Q`` of the Section IV game; at ``0`` its schedule is
+        the basic game's, field for field.
     quad_order, scan_points:
         Same knobs, and same defaults, as the scalar solvers.
     """
@@ -215,80 +220,35 @@ class GridSolver:
         ).law(params.p0)
 
     # ------------------------------------------------------------------ #
-    # stage kernels (broadcast over the P* axis)
+    # Bob's t2 advantage (broadcast over the P* axis)
     # ------------------------------------------------------------------ #
 
-    def p3_thresholds(self, pstars: np.ndarray) -> np.ndarray:
-        """Eq. (18) / Eq. (34) thresholds for the whole grid."""
-        p = self.params
-        a = p.alice
-        if self.collateral > 0.0:
-            stop_value = pstars * math.exp(-a.r * (p.eps_b + 2.0 * p.tau_a))
-            deposit_value = self.collateral * math.exp(-a.r * (p.eps_b + p.tau_a))
-            net = np.maximum(stop_value - deposit_value, 0.0)
-            return math.exp((a.r - p.mu) * p.tau_b) * net / (1.0 + a.alpha)
-        exponent = (a.r - p.mu) * p.tau_b - a.r * (p.eps_b + 2.0 * p.tau_a)
-        return math.exp(exponent) * pstars / (1.0 + a.alpha)
+    def _bob_advantage(self, x, k, schedule: PayoffSchedule):
+        """Bob's ``t2`` advantage ``cont - stop`` at ``x``, with the
+        threshold ``k`` and ``schedule``'s fields broadcast against ``x``."""
+        pieces = self._kernel_b.pieces(x, k)
+        return schedule.bob_t2_cont(self.params, x, pieces) - schedule.bob_keep * x
 
-    def _bob_t2_cont(self, pieces, bob_t3_cont):
-        """Eq. (21)/(35) kernel from ``kernel_b.pieces(x, k3)``; per-point
-        constants broadcast against the pieces."""
-        p = self.params
-        b = p.bob
-        cdf, survival, partial_below = pieces
-        upper = survival * bob_t3_cont
-        lower = math.exp(2.0 * (p.mu - b.r) * p.tau_b) * partial_below
-        out = (upper + lower) * math.exp(-b.r * p.tau_b)
-        if self.collateral > 0.0:
-            own_deposit = self.collateral * math.exp(-b.r * p.tau_a)
-            alices_deposit = (
-                self.collateral * math.exp(-b.r * (p.eps_b + p.tau_a)) * cdf
-            )
-            out = out + (own_deposit + alices_deposit) * math.exp(-b.r * p.tau_b)
-        return out
-
-    def _alice_t2_cont(self, x, pieces, alice_t3_stop):
-        """Eq. (20)/(35) kernel from ``kernel_b.pieces(x, k3)``; per-point
-        constants broadcast against ``x``."""
-        p = self.params
-        a = p.alice
-        cdf, survival, partial_below = pieces
-        mean = x * math.exp(p.mu * p.tau_b)
-        partial_above = np.maximum(mean - partial_below, 0.0)
-        upper = (1.0 + a.alpha) * math.exp((p.mu - a.r) * p.tau_b) * partial_above
-        lower = cdf * alice_t3_stop
-        out = (upper + lower) * math.exp(-a.r * p.tau_b)
-        if self.collateral > 0.0:
-            out = out + (
-                self.collateral
-                * math.exp(-a.r * (p.eps_b + p.tau_a))
-                * survival
-                * math.exp(-a.r * p.tau_b)
-            )
-        return out
-
-    def _bob_advantage(self, x, k, bob_t3_cont):
-        """Bob's ``t2`` advantage ``cont - stop`` at ``x``."""
-        return self._bob_t2_cont(self._kernel_b.pieces(x, k), bob_t3_cont) - x
-
-    def _certified_scan(self, grid, k3, bob_t3_cont):
+    def _certified_scan(self, grid, k3, schedule: PayoffSchedule):
         """Bob's ``t2`` advantage on the scan grid, or its proven sign.
 
         The advantage is evaluated exactly on every ``_SCAN_BLOCK``-th
-        column and the last; these split each row into blocks. From the
-        pieces ``(F, S, PB)`` of :meth:`_bob_t2_cont` it reads
+        column and the last; these split each row into blocks. With the
+        pieces ``(F, S, PB)`` of :meth:`PayoffSchedule.bob_t2_cont` it
+        reads
 
-            ``A(x) = disc (S B + g PB) + Q disc (e1 + e2 F) - x``
+            ``A(x) = disc S redeem + x kappa(x) + disc (deposit + F forfeit)``
 
-        with ``disc = e^{-r_b tau_b}``, ``g = e^{2 (mu - r_b) tau_b}``,
-        ``B = bob_t3_cont``, ``e1 = e^{-r_b tau_a}`` and
-        ``e2 = e^{-r_b (eps_b + tau_a)}``. Every registered kernel is
+        with ``disc = e^{-r_b tau_b}``,
+        ``kappa(x) = disc refund PB / x - (keep + lock_fee)`` and the
+        schedule's ``bob_*`` fields. Every registered kernel is
         multiplicative (``P' = x R``), so as ``x`` grows ``S`` rises,
-        ``F`` falls and ``pi = PB / x`` falls. On a block ``[x_a, x_b]``,
-        with ``kappa(x) = disc g pi(x) - 1``, that gives
+        ``F`` falls and ``PB / x`` falls. Every recipe has
+        ``bob_redeem``, ``bob_refund`` and ``bob_forfeit`` ``>= 0``, so
+        on a block ``[x_a, x_b]``
 
-            ``A <= disc S(x_b) B + max(x_a, x_b) kappa(x_a) + Q disc (e1 + e2 F(x_a))``
-            ``A >= disc S(x_a) B + min(x_a, x_b) kappa(x_b) + Q disc (e1 + e2 F(x_b))``
+            ``A <= disc S(x_b) redeem + max(x_a, x_b) kappa(x_a) + disc (deposit + F(x_a) forfeit)``
+            ``A >= disc S(x_a) redeem + min(x_a, x_b) kappa(x_b) + disc (deposit + F(x_b) forfeit)``
 
         where ``max(x_a, x_b) kappa`` is the larger of ``x_a kappa`` and
         ``x_b kappa`` (and ``min`` the smaller). A block whose upper
@@ -300,31 +260,22 @@ class GridSolver:
         evaluation gives, and the sign-change brackets equal the full
         scan's exactly; the refiner evaluates the bracket ends again.
         """
-        p = self.params
-        b = p.bob
         n_scan = grid.shape[1]
+        column = schedule.at(np.s_[:, None])
         if n_scan < 2:
-            return self._bob_advantage(grid, k3[:, None], bob_t3_cont[:, None])
+            return self._bob_advantage(grid, k3[:, None], column)
         ends = np.unique(np.append(np.arange(0, n_scan, _SCAN_BLOCK), n_scan - 1))
         x_end = grid[:, ends]
         pieces = self._kernel_b.pieces(x_end, k3[:, None])
-        at_ends = self._bob_t2_cont(pieces, bob_t3_cont[:, None]) - x_end
+        at_ends = column.bob_t2_cont(self.params, x_end, pieces) - column.bob_keep * x_end
 
         cdf, survival, partial_below = pieces
-        disc = math.exp(-b.r * p.tau_b)
-        kappa = (
-            disc * math.exp(2.0 * (p.mu - b.r) * p.tau_b) * (partial_below / x_end)
-            - 1.0
+        disc = math.exp(-self.params.bob.r * self.params.tau_b)
+        kappa = disc * column.bob_refund * (partial_below / x_end) - (
+            column.bob_keep + column.bob_lock_fee
         )
-        held = disc * survival * bob_t3_cont[:, None]
-        deposits = (
-            self.collateral
-            * disc
-            * (
-                math.exp(-b.r * p.tau_a)
-                + math.exp(-b.r * (p.eps_b + p.tau_a)) * cdf
-            )
-        )
+        held = disc * survival * column.bob_redeem
+        deposits = disc * (column.bob_deposit + column.bob_forfeit * cdf)
         x_a, x_b = x_end[:, :-1], x_end[:, 1:]
         upper = (
             held[:, 1:]
@@ -354,7 +305,7 @@ class GridSolver:
         )
         rows = rows[:, None]
         x = grid[rows, cols]
-        values[rows, cols] = self._bob_advantage(x, k3[rows], bob_t3_cont[rows])
+        values[rows, cols] = self._bob_advantage(x, k3[rows], schedule.at(rows))
         return values
 
     # ------------------------------------------------------------------ #
@@ -372,14 +323,10 @@ class GridSolver:
         if not np.all(np.isfinite(pstars) & (pstars > 0.0)):
             raise ValueError("every pstar must be finite and positive")
         p = self.params
-        a = p.alice
-        b = p.bob
-        q = self.collateral
         n = pstars.size
 
-        k3 = self.p3_thresholds(pstars)
-        bob_t3_cont = (1.0 + b.alpha) * pstars * math.exp(-b.r * (p.eps_b + p.tau_a))
-        alice_t3_stop = pstars * math.exp(-a.r * (p.eps_b + 2.0 * p.tau_a))
+        schedule = collateral_schedule(p, pstars, self.collateral)
+        k3 = schedule.p3_threshold()
 
         # --- t2: locate Bob's continuation region on every row at once.
         # Same scan window and bracket rule as the scalar bob_t2_region.
@@ -389,11 +336,12 @@ class GridSolver:
         grid = np.exp(
             np.linspace(np.log(lo_vec), np.log(hi_vec), self.scan_points, axis=1)
         )
-        signs = self._certified_scan(grid, k3, bob_t3_cont)
+        signs = self._certified_scan(grid, k3, schedule)
         rows, bracket_lo, bracket_hi = grid_sign_change_brackets(grid, signs)
+        bracket_schedule = schedule.at(rows)
 
         def advantage_flat(x: np.ndarray) -> np.ndarray:
-            return self._bob_advantage(x, k3[rows], bob_t3_cont[rows])
+            return self._bob_advantage(x, k3[rows], bracket_schedule)
 
         roots = bisect_roots(advantage_flat, bracket_lo, bracket_hi)
 
@@ -418,7 +366,7 @@ class GridSolver:
         cand_hi_arr = np.asarray(cand_hi, dtype=float)
         mids = np.sqrt(cand_lo_arr * cand_hi_arr)
         mid_advantage = self._bob_advantage(
-            mids, k3[cand_rows_arr], bob_t3_cont[cand_rows_arr]
+            mids, k3[cand_rows_arr], schedule.at(cand_rows_arr)
         )
         keep = mid_advantage > 0.0
         iv_rows = cand_rows_arr[keep]
@@ -441,15 +389,14 @@ class GridSolver:
         kernel_b = self._kernel_b
         k_iv = k3[iv_rows][:, None]
         log_k_iv = np.log(np.where(k3 > 0.0, k3, 1.0))[iv_rows][:, None]
-        alice_t3_stop_iv = alice_t3_stop[iv_rows][:, None]
-        bob_t3_cont_iv = bob_t3_cont[iv_rows][:, None]
+        iv_schedule = schedule.at(iv_rows[:, None])
 
         def t2_values(x: np.ndarray) -> np.ndarray:
             pieces = kernel_b.pieces(x, k_iv)
             return np.stack(
                 [
-                    self._alice_t2_cont(x, pieces, alice_t3_stop_iv),
-                    self._bob_t2_cont(pieces, bob_t3_cont_iv),
+                    iv_schedule.alice_t2_cont(p, x, pieces),
+                    iv_schedule.bob_t2_cont(p, x, pieces),
                     kernel_b.survival_from_logs(np.log(x), log_k_iv),
                 ]
             )
@@ -475,36 +422,20 @@ class GridSolver:
             minlength=n,
         )
 
-        alice_t2_stop = pstars * math.exp(
-            -a.r * (p.tau_b + p.eps_b + 2.0 * p.tau_a)
-        )
-        if q > 0.0:
-            alice_t2_stop = alice_t2_stop + 2.0 * q * math.exp(
-                -a.r * (p.tau_b + p.tau_a)
-            )
-        alice_t1_cont = (
-            inside_alice + (1.0 - prob_inside) * alice_t2_stop
-        ) * math.exp(-a.r * p.tau_a)
-        bob_t1_cont = (inside_bob + (law.mean() - price_mass)) * math.exp(
-            -b.r * p.tau_a
-        )
-        alice_t1_stop = pstars + q
-        bob_t1_stop = np.full(n, p.p0 + q)
-
         # --- success rate (Eq. (31)/(40)) from the stacked pass's survival row
         empty = np.bincount(iv_rows, minlength=n) == 0
         success = np.where(empty, 0.0, np.where(k3 > 0.0, sr_quad, prob_inside))
 
         result = EquilibriumGrid(
             params=p,
-            collateral=q,
+            collateral=self.collateral,
             pstars=pstars,
             p3_threshold=k3,
             t2_regions=t2_regions,
-            alice_t1_cont=alice_t1_cont,
-            alice_t1_stop=alice_t1_stop,
-            bob_t1_cont=bob_t1_cont,
-            bob_t1_stop=bob_t1_stop,
+            alice_t1_cont=schedule.alice_t1_cont(p, inside_alice, prob_inside),
+            alice_t1_stop=schedule.alice_stay,
+            bob_t1_cont=schedule.bob_t1_cont(p, inside_bob, price_mass, law.mean()),
+            bob_t1_stop=np.full(n, schedule.bob_stay),
             success_rate=success,
         )
         self._observe(n, time.perf_counter() - started)

@@ -14,9 +14,12 @@ extension prices them in:
   ``fee_b * P_{t2}`` -- at ``t2``);
 * walking away costs nothing (no transaction is sent).
 
-All stage payoffs stay linear in the price, so the closed forms carry
-over with shifted coefficients. ``fee_a = fee_b = 0`` reduces exactly
-to the basic model.
+All stage payoffs stay linear in the price, so the fees are one payoff
+schedule (:func:`fee_schedule`) with shifted coefficients, which
+:class:`FeeBackwardInduction` hands to the shared induction in
+:mod:`repro.core.backward_induction`. ``fee_a = fee_b = 0`` is the
+basic schedule field for field, so it reduces exactly to the basic
+model.
 
 Economics: fees act as a *commitment tax* -- they lower every
 continuation branch but leave the stop branches mostly untouched, so
@@ -27,15 +30,35 @@ quantifies this contrast.
 
 from __future__ import annotations
 
-import math
+from functools import cached_property
 
-import numpy as np
-
-from repro.core.backward_induction import BackwardInduction, _as_array
+from repro.core.backward_induction import (
+    BackwardInduction,
+    PayoffSchedule,
+    basic_schedule,
+)
 from repro.core.parameters import SwapParameters
-from repro.stochastic.quadrature import expectation_on_interval
 
-__all__ = ["FeeBackwardInduction"]
+__all__ = ["FeeBackwardInduction", "fee_schedule"]
+
+
+def fee_schedule(
+    params: SwapParameters, pstar: float, fee_a: float, fee_b: float
+) -> PayoffSchedule:
+    """The basic schedule with Chain_a fee ``fee_a`` and Chain_b fee ``fee_b``.
+
+    Every Token_a transfer nets ``P* - fee_a`` and every Token_b
+    transfer ``1 - fee_b``; Bob's lock costs ``fee_b`` Token_b at
+    ``t2`` and Alice's ``fee_a`` at ``t1``; staying out costs nothing.
+    """
+    net = basic_schedule(params, pstar - fee_a)
+    return net._replace(
+        alice_claim=net.alice_claim * (1.0 - fee_b),
+        bob_refund=net.bob_refund * (1.0 - fee_b),
+        bob_lock_fee=fee_b,
+        alice_init_fee=fee_a,
+        alice_stay=pstar,
+    )
 
 
 class FeeBackwardInduction(BackwardInduction):
@@ -61,87 +84,6 @@ class FeeBackwardInduction(BackwardInduction):
         self.fee_a = float(fee_a)
         self.fee_b = float(fee_b)
 
-    # ------------------------------------------------------------------ #
-    # t3 stage (fee-adjusted Eqs. (14)-(18))
-    # ------------------------------------------------------------------ #
-
-    def alice_t3_cont(self, p3):
-        """Claiming yields ``1 - fee_b`` Token_b at ``t5``."""
-        out = _as_array(super().alice_t3_cont(p3)) * (1.0 - self.fee_b)
-        return out if out.ndim else float(out)
-
-    def alice_t3_stop(self) -> float:
-        """The refund nets ``P* - fee_a`` at ``t8``."""
-        p = self.params
-        return (self.pstar - self.fee_a) * math.exp(
-            -p.alice.r * (p.eps_b + 2.0 * p.tau_a)
-        )
-
-    def bob_t3_cont(self) -> float:
-        """Redeeming nets ``P* - fee_a`` Token_a at ``t6``."""
-        p = self.params
-        return (
-            (1.0 + p.bob.alpha)
-            * (self.pstar - self.fee_a)
-            * math.exp(-p.bob.r * (p.eps_b + p.tau_a))
-        )
-
-    def bob_t3_stop(self, p3):
-        """The refund nets ``1 - fee_b`` Token_b at ``t7``."""
-        out = _as_array(super().bob_t3_stop(p3)) * (1.0 - self.fee_b)
-        return out if out.ndim else float(out)
-
-    def p3_threshold(self) -> float:
-        """Fee-adjusted cut-off price (cf. Eq. (18))."""
-        slope = float(self.alice_t3_cont(1.0))
-        return self.alice_t3_stop() / slope
-
-    # ------------------------------------------------------------------ #
-    # t2 stage
-    # ------------------------------------------------------------------ #
-
-    def alice_t2_cont(self, p2):
-        """Eq. (20) from the fee-adjusted branch values."""
-        p = self.params
-        cdf, _, partial_below = self._t2_law_pieces(p2)
-        p2 = _as_array(p2)
-        mean = p2 * math.exp(p.mu * p.tau_b)
-        partial_above = np.maximum(mean - partial_below, 0.0)
-        slope = float(self.alice_t3_cont(1.0))
-        out = (slope * partial_above + cdf * self.alice_t3_stop()) * math.exp(
-            -p.alice.r * p.tau_b
-        )
-        return out if out.ndim else float(out)
-
-    def bob_t2_cont(self, p2):
-        """Eq. (21) minus the out-of-pocket deploy fee ``fee_b * P_{t2}``."""
-        p = self.params
-        _, survival, partial_below = self._t2_law_pieces(p2)
-        slope_stop = float(self.bob_t3_stop(1.0))
-        value = (survival * self.bob_t3_cont() + slope_stop * partial_below) * math.exp(
-            -p.bob.r * p.tau_b
-        )
-        out = value - self.fee_b * _as_array(p2)
-        return out if out.ndim else float(out)
-
-    def alice_t2_stop(self) -> float:
-        """Eq. (22) with the refund netted of ``fee_a``."""
-        p = self.params
-        horizon = p.tau_b + p.eps_b + 2.0 * p.tau_a
-        return (self.pstar - self.fee_a) * math.exp(-p.alice.r * horizon)
-
-    # ------------------------------------------------------------------ #
-    # t1 stage
-    # ------------------------------------------------------------------ #
-
-    def alice_t1_cont(self) -> float:
-        """Eq. (25) minus the out-of-pocket ``fee_a`` paid at ``t1``."""
-        p = self.params
-        law = self._law(p.p0, p.tau_a)
-        region = self.bob_t2_region()
-        inside = sum(
-            expectation_on_interval(law, self.alice_t2_cont, lo, hi, self.quad_order)
-            for lo, hi in region.intervals
-        )
-        outside = (1.0 - region.probability(law)) * self.alice_t2_stop()
-        return (inside + outside) * math.exp(-p.alice.r * p.tau_a) - self.fee_a
+    @cached_property
+    def _schedule(self) -> PayoffSchedule:
+        return fee_schedule(self.params, self.pstar, self.fee_a, self.fee_b)

@@ -19,22 +19,57 @@ symmetric-collateral design:
 Only Alice posts anything, so the mechanism disciplines her ``t3``
 optionality (the Han et al. concern) but leaves Bob's ``t2``
 optionality untouched -- exactly the asymmetry the paper's collateral
-extension removes. ``W = 0`` reproduces the basic model.
+extension removes.
+
+These flows are one payoff schedule (:func:`premium_schedule`) that
+:class:`PremiumBackwardInduction` hands to the shared induction in
+:mod:`repro.core.backward_induction`. ``W = 0`` is the basic schedule
+field for field, so it reproduces the basic model exactly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
-from repro.core.backward_induction import BackwardInduction, _as_array
+from repro.core.backward_induction import (
+    BackwardInduction,
+    PayoffSchedule,
+    basic_schedule,
+)
 from repro.core.equilibrium import StageUtilities
 from repro.core.parameters import SwapParameters
 from repro.core.strategy import AliceStrategy, BobStrategy
-from repro.stochastic.quadrature import expectation_on_interval
 from repro.stochastic.rootfind import IntervalUnion
 
-__all__ = ["PremiumBackwardInduction", "PremiumEquilibrium", "solve_premium_game"]
+__all__ = [
+    "PremiumBackwardInduction",
+    "PremiumEquilibrium",
+    "premium_schedule",
+    "solve_premium_game",
+]
+
+
+def premium_schedule(
+    params: SwapParameters, pstar: float, premium: float
+) -> PayoffSchedule:
+    """The basic schedule plus Alice's premium ``W``.
+
+    Her reveal recovers ``W`` (received at ``t4 + tau_a``); her waiver
+    forfeits it to Bob (received at ``t3 + eps_b + 2 tau_a``); Bob
+    walking away returns it with her refund at ``t8``; not initiating
+    keeps it.
+    """
+    p = params
+    a, b = p.alice, p.bob
+    return basic_schedule(params, pstar)._replace(
+        alice_deposit=premium * math.exp(-a.r * (p.eps_b + p.tau_a)),
+        bob_forfeit=premium * math.exp(-b.r * (p.eps_b + 2.0 * p.tau_a)),
+        alice_walked=(pstar + premium)
+        * math.exp(-a.r * (p.tau_b + p.eps_b + 2.0 * p.tau_a)),
+        alice_stay=pstar + premium,
+    )
 
 
 class PremiumBackwardInduction(BackwardInduction):
@@ -48,74 +83,9 @@ class PremiumBackwardInduction(BackwardInduction):
         super().__init__(params, pstar, **kwargs)
         self.premium = float(premium)
 
-    def p3_threshold(self) -> float:
-        """Alice's reveal threshold, lowered by the at-stake premium.
-
-        Continuing recovers the premium; stopping forfeits it, so the
-        cut-off price solves
-        ``(1+alpha_A) p e^{(mu-r_A) tau_b} + W e^{-r_A (eps_b + tau_a)}
-        = P* e^{-r_A (eps_b + 2 tau_a)}``.
-        """
-        p = self.params
-        a = self._alice
-        stop_value = self.pstar * math.exp(-a.r * (p.eps_b + 2.0 * p.tau_a))
-        premium_value = self.premium * math.exp(-a.r * (p.eps_b + p.tau_a))
-        net = max(stop_value - premium_value, 0.0)
-        return math.exp((a.r - p.mu) * p.tau_b) * net / (1.0 + a.alpha)
-
-    def alice_t2_cont(self, p2):
-        """Eq. (20) plus the premium recovered on the continuation branch."""
-        base = _as_array(super().alice_t2_cont(p2))
-        p = self.params
-        a = self._alice
-        _, survival, _ = self._t2_law_pieces(p2)
-        recovered = (
-            self.premium
-            * math.exp(-a.r * (p.eps_b + p.tau_a))
-            * survival
-            * math.exp(-a.r * p.tau_b)
-        )
-        out = base + recovered
-        return out if out.ndim else float(out)
-
-    def bob_t2_cont(self, p2):
-        """Eq. (21) plus Alice's forfeited premium on her abort branch."""
-        base = _as_array(super().bob_t2_cont(p2))
-        p = self.params
-        b = self._bob
-        cdf, _, _ = self._t2_law_pieces(p2)
-        forfeit = (
-            self.premium
-            * math.exp(-b.r * (p.eps_b + 2.0 * p.tau_a))
-            * cdf
-            * math.exp(-b.r * p.tau_b)
-        )
-        out = base + forfeit
-        return out if out.ndim else float(out)
-
-    def alice_t2_stop_value(self) -> float:
-        """Bob walked away: refund plus the returned premium at ``t8``."""
-        p = self.params
-        a = self._alice
-        horizon = p.tau_b + p.eps_b + 2.0 * p.tau_a
-        return (self.pstar + self.premium) * math.exp(-a.r * horizon)
-
-    def alice_t1_cont(self) -> float:
-        """Eq. (25) with the premium-adjusted branch values."""
-        p = self.params
-        a = self._alice
-        law = self._law(p.p0, p.tau_a)
-        region = self.bob_t2_region()
-        inside = sum(
-            expectation_on_interval(law, self.alice_t2_cont, lo, hi, self.quad_order)
-            for lo, hi in region.intervals
-        )
-        outside = (1.0 - region.probability(law)) * self.alice_t2_stop_value()
-        return (inside + outside) * math.exp(-a.r * p.tau_a)
-
-    def alice_t1_stop(self) -> float:
-        """Not initiating keeps both the ``P*`` Token_a and the premium."""
-        return self.pstar + self.premium
+    @cached_property
+    def _schedule(self) -> PayoffSchedule:
+        return premium_schedule(self.params, self.pstar, self.premium)
 
 
 @dataclass(frozen=True)

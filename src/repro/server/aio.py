@@ -54,7 +54,8 @@ same bytes by construction. The pipeline's framing rules:
   ``Connection: close``, is answered with ``Connection: close`` and the
   socket closes;
 * ``HEAD`` is answered as ``GET`` without the body (RFC 9110 §9.3.2),
-  and every ``405`` names the route's methods in ``Allow`` (§15.5.6).
+  its ``400`` and ``431`` refusals included, and every ``405`` names
+  the route's methods in ``Allow`` (§15.5.6).
 
 The proxy role does no solving. It derives each request's canonical
 routing key (:func:`~repro.server.router.routing_key`) and proxies the
@@ -498,6 +499,9 @@ class _FrontEnd:
         try:
             head = await self._bounded(reader.readuntil(b"\r\n\r\n"), writer)
         except asyncio.LimitOverrunError:
+            # the head stays buffered; its first bytes name the method,
+            # and the connection closes after the 431 anyway
+            request.head = (await reader.read(5)) == b"HEAD "
             reply = _error_reply(header_too_large_error(_HEAD_LIMIT))
             return await self._send(writer, request, reply)
         except asyncio.IncompleteReadError:

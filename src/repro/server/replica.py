@@ -21,8 +21,10 @@ Per-replica resource carve-outs:
 
 * ``cache_dir`` becomes ``cache_dir/replica-i`` -- shards own disjoint
   keyslices, so sharing one disk tier would only serialise writes;
-* ``metrics_out``/``fault_plan`` pass through unchanged (each process
-  keeps its own registry; one plan drives chaos everywhere).
+* ``fault_plan`` passes through unchanged (one plan drives chaos
+  everywhere);
+* ``metrics_out`` stays with the router: only the router's registry
+  is written there, and each replica's stays in its own process.
 """
 
 from __future__ import annotations
@@ -183,6 +185,10 @@ class ReplicaProcess:
                 self._process.wait(timeout=5.0)
         if self._reader is not None:
             self._reader.join(timeout=1.0)
+            if not self._reader.is_alive():
+                # read to EOF; closing under a live reader would block on
+                # its buffer lock
+                self._process.stdout.close()
         return self._process.returncode
 
 

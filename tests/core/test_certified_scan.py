@@ -12,7 +12,6 @@ an exact work count.
 
 from __future__ import annotations
 
-import math
 from unittest import mock
 
 import numpy as np
@@ -20,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.engine as engine
+from repro.core.backward_induction import collateral_schedule
 from repro.core.engine import GridSolver, solve_grid
 from repro.core.parameters import SwapParameters
 from repro.stochastic.law import (
@@ -52,11 +52,9 @@ def _assert_scan_is_certified(params, pstars, collateral):
         solver.solve(pstars)
     ((grid, signs),) = scans
 
-    pstars = np.asarray(pstars, dtype=float)
-    k3 = solver.p3_thresholds(pstars)
-    bob = params.bob
-    bob_t3_cont = (1.0 + bob.alpha) * pstars * math.exp(-bob.r * (params.eps_b + params.tau_a))
-    full = solver._bob_advantage(grid, k3[:, None], bob_t3_cont[:, None])
+    schedule = collateral_schedule(params, np.asarray(pstars, dtype=float), collateral)
+    k3 = schedule.p3_threshold()
+    full = solver._bob_advantage(grid, k3[:, None], schedule.at(np.s_[:, None]))
 
     for got, want in zip(real(grid, signs), real(grid, full)):
         assert np.array_equal(got, want)

@@ -155,7 +155,7 @@ class TestT1Collateralised:
 
     def test_alice_t2_stop_value_includes_both_deposits(self, params):
         solver = CollateralBackwardInduction(params, 2.0, 0.4)
-        extra = solver.alice_t2_stop_value() - solver.alice_t2_stop()
+        extra = solver.alice_t2_stop() - BackwardInduction(params, 2.0).alice_t2_stop()
         expected = 2 * 0.4 * math.exp(-0.01 * (4.0 + 3.0))
         assert extra == pytest.approx(expected, rel=1e-12)
 

@@ -456,6 +456,12 @@ class TestFraming:
         expected = envelope(header_too_large_error(65536))
         assert data.startswith(b"HTTP/1.1 431 ")
         assert data.endswith(b"\r\n\r\n" + expected)
+        # a HEAD gets the same head and no body
+        data, _seconds = read_to_close(role_port, b"HEAD" + raw[3:], timeout=10.0)
+        head, _sep, body = data.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 431 ")
+        assert f"Content-Length: {len(expected)}".encode() in head
+        assert body == b""
 
     def test_unfinished_head_closes_at_the_read_bound(self, role_port, monkeypatch):
         monkeypatch.setattr(aio, "READ_TIMEOUT", 0.5)

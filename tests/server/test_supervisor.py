@@ -22,7 +22,7 @@ import pytest
 from repro.faults import FaultSpec, InjectionPlan
 from repro.faults.injector import build_injector
 from repro.server import RouterServer, ServerConfig
-from repro.server.replica import ReplicaSupervisor
+from repro.server.replica import ReplicaSet, ReplicaSupervisor
 from tests.faults.conftest import counter_value, registry  # noqa: F401
 from tests.server.conftest import request_in_thread
 
@@ -321,3 +321,16 @@ class TestSelfHealing:
                 assert remover.value.get("ok") is True
         finally:
             router.shutdown(drain=False)
+
+
+@pytest.mark.slow
+def test_stop_closes_the_replica_stdout_pipe():
+    """A stopped replica leaves no open pipe behind: its announce
+    reader reaches EOF, and ``stop`` then closes the pipe it read."""
+    replicas = ReplicaSet(ServerConfig(port=0), 1)
+    with replicas:
+        (replica,) = replicas.replicas
+        pipe = replica._process.stdout
+        assert not pipe.closed
+    assert replica._process.returncode is not None
+    assert pipe.closed
