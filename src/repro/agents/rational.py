@@ -12,12 +12,13 @@ from __future__ import annotations
 from typing import Tuple
 
 from repro.agents.base import SwapAgent
+from repro.core.backward_induction import BackwardInduction
 from repro.core.collateral import CollateralBackwardInduction
 from repro.core.parameters import SwapParameters
-from repro.core.strategy import Action, AliceStrategy, BobStrategy, equilibrium_strategies
+from repro.core.strategy import Action, AliceStrategy, BobStrategy
 from repro.protocol.messages import DecisionContext
 
-__all__ = ["RationalAlice", "RationalBob", "rational_pair"]
+__all__ = ["RationalAlice", "RationalBob", "pair_from_solver", "rational_pair"]
 
 
 class RationalAlice(SwapAgent):
@@ -66,12 +67,13 @@ def rational_pair(
 ) -> Tuple[RationalAlice, RationalBob]:
     """Build the equilibrium agent pair for a (possibly collateralised) game."""
     if collateral > 0.0:
-        solver = CollateralBackwardInduction(params, pstar, collateral)
-        alice = AliceStrategy(
-            initiate_at_t1=solver.alice_t1_cont() > solver.alice_t1_stop(),
-            p3_threshold=solver.p3_threshold(),
-        )
-        bob = BobStrategy(t2_region=solver.bob_t2_region())
-        return RationalAlice(alice), RationalBob(bob)
-    alice, bob = equilibrium_strategies(params, pstar)
-    return RationalAlice(alice), RationalBob(bob)
+        return pair_from_solver(CollateralBackwardInduction(params, pstar, collateral))
+    return pair_from_solver(BackwardInduction(params, pstar))
+
+
+def pair_from_solver(solver: BackwardInduction) -> Tuple[RationalAlice, RationalBob]:
+    """The agent pair playing ``solver``'s equilibrium strategies."""
+    alice = AliceStrategy(
+        initiate_at_t1=solver.alice_initiates(), p3_threshold=solver.p3_threshold()
+    )
+    return RationalAlice(alice), RationalBob(BobStrategy(t2_region=solver.bob_t2_region()))

@@ -482,7 +482,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="bound on disk-cache entries (oldest pruned on write)",
     )
     stats.add_argument(
-        "--timeout", type=float, default=None, help="per-request seconds budget"
+        "--timeout",
+        type=float,
+        default=None,
+        help="per-request seconds budget (needs --workers > 1)",
     )
     stats.add_argument(
         "--format",
@@ -545,7 +548,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="bound on disk-cache entries (oldest pruned on write)",
     )
     serve.add_argument(
-        "--timeout", type=float, default=None, help="per-solve pool budget"
+        "--timeout",
+        type=float,
+        default=None,
+        help="per-solve pool budget (needs --workers > 1)",
     )
     serve.add_argument(
         "--metrics-out",
@@ -761,7 +767,10 @@ def _add_batch_arguments(batch: argparse.ArgumentParser) -> None:
         help="bound on disk-cache entries (oldest pruned on write)",
     )
     batch.add_argument(
-        "--timeout", type=float, default=None, help="per-request seconds budget"
+        "--timeout",
+        type=float,
+        default=None,
+        help="per-request seconds budget (needs --workers > 1)",
     )
     batch.add_argument(
         "--metrics-out",

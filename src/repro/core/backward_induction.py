@@ -26,9 +26,18 @@ modules.
 
 All ``t3`` and ``t2`` utilities are closed form in terms of the
 transition law's CDF and partial expectations; ``t1`` requires one
-layer of quadrature over Bob's continuation region.
-:class:`BackwardInduction` lazily computes and caches the threshold
-structure for a fixed exchange rate ``pstar``.
+layer of quadrature over Bob's continuation region. The rest of the
+induction is written once too, and the grid engine and the Bayesian
+game call the same code: :func:`scan_window` is the price window Bob's
+region is located in,
+:func:`~repro.stochastic.rootfind.regions_between_roots` turns the
+window's roots into the region, and :meth:`PayoffSchedule.t1_values`
+is the whole ``t1`` stage (Eqs. (25), (26) and (31)) from one
+quadrature pass. :class:`BackwardInduction` keeps only its own root
+finding -- a full scan refined with Brent's method, the reference the
+engine's certified scan and batched refiner are checked against -- and
+lazily computes and caches the threshold structure for a fixed
+exchange rate ``pstar``.
 
 Utility convention: every ``U_{t_k}`` is measured *at* ``t_k``, i.e.
 discounting is always back to the decision time, exactly as in the
@@ -39,17 +48,18 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.core.parameters import SwapParameters
 from repro.stochastic.law import step_kernel
-from repro.stochastic.quadrature import DEFAULT_QUAD_ORDER, expectation_on_interval
+from repro.stochastic.quadrature import DEFAULT_QUAD_ORDER, expectation_on_intervals
 from repro.stochastic.rootfind import (
     IntervalUnion,
     bracketed_root,
     grid_sign_change_brackets,
+    regions_between_roots,
 )
 
 __all__ = [
@@ -57,6 +67,7 @@ __all__ = [
     "PayoffSchedule",
     "basic_schedule",
     "collateral_schedule",
+    "scan_window",
 ]
 
 #: A stage payoff: one number, or one per point of a ``P*`` grid.
@@ -180,6 +191,76 @@ class PayoffSchedule(NamedTuple):
         value = inside + (mean - price_mass) * self.bob_keep
         return value * math.exp(-params.bob.r * params.tau_a)
 
+    def t1_values(
+        self,
+        params: SwapParameters,
+        law,
+        kernel,
+        k,
+        rows,
+        lo,
+        hi,
+        order: int = DEFAULT_QUAD_ORDER,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The ``t1`` stage of every row: Eqs. (25), (26) and (31).
+
+        Row ``i`` has the ``t3`` threshold ``k[i]`` and Bob's ``t2``
+        continuation region made of the intervals ``(lo[j], hi[j])``
+        with ``rows[j] == i`` (all arrays); the schedule's fields are
+        numbers or one per row. ``law`` is the ``t1`` law of the ``t2``
+        price and ``kernel`` the ``t2 -> t3`` step. One quadrature pass
+        over every interval integrates a stacked integrand: both
+        agents' ``t2`` continuation values, from one ``pieces`` call on
+        the nodes, and the probability that the ``t3`` price beats the
+        threshold.
+
+        Returns ``(alice_t1_cont, bob_t1_cont, success_rate)``, one
+        value per row. The success rate is 0 on an empty region and
+        the region's mass where ``k <= 0``, since Alice then reveals at
+        any price.
+        """
+        k = np.atleast_1d(k)
+        at_nodes = self.at(rows[:, None])
+        k_nodes = k[rows][:, None]
+        # the survival row keeps the log-space kernel: the lognormal
+        # pieces' survival differs from it by an ulp
+        log_k_nodes = np.log(np.where(k > 0.0, k, 1.0))[rows][:, None]
+
+        def t2_values(x: np.ndarray) -> np.ndarray:
+            pieces = kernel.pieces(x, k_nodes)
+            return np.stack(
+                [
+                    at_nodes.alice_t2_cont(params, x, pieces),
+                    at_nodes.bob_t2_cont(params, x, pieces),
+                    kernel.survival_from_logs(np.log(x), log_k_nodes),
+                ]
+            )
+
+        def per_row(weights=None) -> np.ndarray:
+            return np.bincount(rows, weights=weights, minlength=k.size)
+
+        inside_alice, inside_bob, survival = (
+            per_row(weights)
+            for weights in expectation_on_intervals(law, t2_values, lo, hi, order)
+        )
+        mass = per_row(np.maximum(law.cdf(hi) - law.cdf(lo), 0.0))
+        above = law.partial_expectation_above
+        price_mass = per_row(np.maximum(above(lo) - above(hi), 0.0))
+        success = np.where(per_row() == 0, 0.0, np.where(k > 0.0, survival, mass))
+        alice = self.alice_t1_cont(params, inside_alice, mass)
+        bob = self.bob_t1_cont(params, inside_bob, price_mass, law.mean())
+        return alice, bob, success
+
+
+def scan_window(pstar: Payoff, p0: float, k: Payoff) -> Tuple[Payoff, Payoff]:
+    """The price window Bob's ``t2`` region is located in (Eq. (24)).
+
+    ``(1e-6 min(P*, p0), 1e4 max(P*, p0, k))`` with ``k`` the ``t3``
+    threshold: far beyond any price the ``t1`` law can reach.
+    Broadcasts over a ``P*`` axis.
+    """
+    return 1e-6 * np.minimum(pstar, p0), 1e4 * np.maximum(np.maximum(pstar, p0), k)
+
 
 def basic_schedule(params: SwapParameters, pstar: Payoff) -> PayoffSchedule:
     """The paper's basic game (Eqs. (14)-(17), (22), (23), (27), (28))."""
@@ -260,6 +341,7 @@ class BackwardInduction:
         self.quad_order = quad_order
         self.scan_points = scan_points
         self._bob_t2_region: Optional[IntervalUnion] = None
+        self._t1_values: Optional[Tuple[float, float, float]] = None
         self._kernels: dict = {}
 
     @cached_property
@@ -377,15 +459,14 @@ class BackwardInduction:
         """Bob's continuation region ``(P̲_{t2}, P̄_{t2})`` (Eq. (24)).
 
         Located by a vectorised sign-change scan of
-        :meth:`bob_t2_advantage` on a log grid spanning far beyond any
-        price the ``t1`` law can reach, refined with Brent's method.
-        Empty when ``U(cont) < U(stop)`` everywhere (the paper's
-        "swap always fails" case).
+        :meth:`bob_t2_advantage` across :func:`scan_window`, refined
+        with Brent's method and cut into the region by
+        :func:`~repro.stochastic.rootfind.regions_between_roots`.
+        Empty when ``U(cont) < U(stop)`` everywhere (the paper's "swap
+        always fails" case).
         """
         if self._bob_t2_region is None:
-            scale = max(self.pstar, self.params.p0, self.p3_threshold())
-            lo = 1e-6 * min(self.pstar, self.params.p0)
-            hi = 1e4 * scale
+            lo, hi = scan_window(self.pstar, self.params.p0, self.p3_threshold())
             grid = np.exp(np.linspace(math.log(lo), math.log(hi), self.scan_points))
             values = self.bob_t2_advantage(grid)
             _rows, bracket_lo, bracket_hi = grid_sign_change_brackets(
@@ -395,35 +476,49 @@ class BackwardInduction:
                 bracketed_root(lambda q: float(self.bob_t2_advantage(q)), a, b)
                 for a, b in zip(bracket_lo.tolist(), bracket_hi.tolist())
             ]
-            edges = [lo] + sorted(roots) + [hi]
-            keep = []
-            for a, b in zip(edges[:-1], edges[1:]):
-                if b <= a:
-                    continue
-                mid = math.sqrt(a * b)
-                if float(self.bob_t2_advantage(mid)) > 0.0:
-                    keep.append((a, b))
-            self._bob_t2_region = IntervalUnion.from_intervals(keep)
+            (self._bob_t2_region,) = IntervalUnion.by_row(
+                1,
+                *regions_between_roots(
+                    lo,
+                    hi,
+                    np.zeros(len(roots), dtype=np.intp),
+                    roots,
+                    lambda _rows, mids: self.bob_t2_advantage(mids),
+                ),
+            )
         return self._bob_t2_region
 
     # ------------------------------------------------------------------ #
     # stage t1: Alice initiates or not (Eqs. (25)-(30))
     # ------------------------------------------------------------------ #
 
+    def _t1(self) -> Tuple[float, float, float]:
+        """Alice's and Bob's ``t1`` continuation values and the success
+        rate, from one :meth:`PayoffSchedule.t1_values` pass over
+        :meth:`bob_t2_region` at :meth:`p3_threshold` (computed once)."""
+        if self._t1_values is None:
+            p = self.params
+            region = np.array(self.bob_t2_region().intervals, dtype=float).reshape(-1, 2)
+            alice, bob, success = self._schedule.t1_values(
+                p,
+                self._law(p.p0, p.tau_a),
+                self._kernel(p.tau_b),
+                self.p3_threshold(),
+                np.zeros(len(region), dtype=np.intp),
+                region[:, 0],
+                region[:, 1],
+                self.quad_order,
+            )
+            self._t1_values = (float(alice[0]), float(bob[0]), float(success[0]))
+        return self._t1_values
+
     def alice_t1_cont(self) -> float:
         """Eq. (25): Alice's expected utility of initiating the swap.
 
-        Integrates :meth:`alice_t2_cont` over Bob's continuation region
-        and assigns the Eq. (22) refund value to its complement.
+        Integrates her ``t2`` continuation value over Bob's continuation
+        region and assigns the Eq. (22) refund value to its complement.
         """
-        p = self.params
-        law = self._law(p.p0, p.tau_a)
-        region = self.bob_t2_region()
-        inside = sum(
-            expectation_on_interval(law, self.alice_t2_cont, lo, hi, self.quad_order)
-            for lo, hi in region.intervals
-        )
-        return self._schedule.alice_t1_cont(p, inside, region.probability(law))
+        return self._t1()[0]
 
     def alice_t1_stop(self) -> float:
         """Eq. (27): Alice keeps her ``P*`` Token_a."""
@@ -436,17 +531,7 @@ class BackwardInduction:
         Eq. (21) value; outside he keeps Token_b, worth the ``t2``
         price (Eqs. (23), (26)).
         """
-        p = self.params
-        law = self._law(p.p0, p.tau_a)
-        region = self.bob_t2_region()
-        inside = sum(
-            expectation_on_interval(law, self.bob_t2_cont, lo, hi, self.quad_order)
-            for lo, hi in region.intervals
-        )
-        price_mass = sum(
-            law.partial_expectation_between(lo, hi) for lo, hi in region.intervals
-        )
-        return self._schedule.bob_t1_cont(p, inside, price_mass, law.mean())
+        return self._t1()[1]
 
     def bob_t1_stop(self) -> float:
         """Eq. (28): Bob keeps his 1 Token_b, worth ``P_{t1} = p0``."""
@@ -475,22 +560,4 @@ class BackwardInduction:
         The ``t2`` price must land in Bob's continuation region and the
         ``t3`` price must then exceed Alice's threshold.
         """
-        p = self.params
-        law = self._law(p.p0, p.tau_a)
-        region = self.bob_t2_region()
-        if region.is_empty:
-            return 0.0
-        k = self.p3_threshold()
-        if k <= 0.0:
-            # Alice continues at any t3 price: SR is just the region mass
-            return region.probability(law)
-        kernel_b = self._kernel(p.tau_b)
-        log_k = math.log(k)
-
-        def survive(x: np.ndarray) -> np.ndarray:
-            return kernel_b.survival_from_logs(np.log(x), log_k)
-
-        return sum(
-            expectation_on_interval(law, survive, lo, hi, self.quad_order)
-            for lo, hi in region.intervals
-        )
+        return self._t1()[2]

@@ -20,22 +20,28 @@ implements that Bayesian variant:
 * the **ex-ante success rate** averages the realised rate over type
   profiles drawn from the beliefs.
 
-Degenerate (point-mass) beliefs at the true types reproduce the
-complete-information game exactly (property-tested).
+Each of these is a belief-weighted sum over
+:class:`~repro.core.backward_induction.BackwardInduction` views of the
+game: a Bob type's view mixes his ``t2`` value over Alice's types and
+so locates his region with the solver's own scan, and every type
+profile's view plays that region, so the ``t1`` values and both success
+rates come from the solver's own ``t1`` stage under ``params.law``.
+Degenerate (point-mass) beliefs at the true types therefore reproduce
+the complete-information game exactly, under every price law
+(property-tested per law).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.backward_induction import BackwardInduction, _as_array
+from repro.core.backward_induction import BackwardInduction, _as_array, _out
 from repro.core.parameters import SwapParameters
-from repro.stochastic.quadrature import DEFAULT_QUAD_ORDER, expectation_on_interval
-from repro.stochastic.rootfind import IntervalUnion, bracketed_root
+from repro.stochastic.quadrature import DEFAULT_QUAD_ORDER
+from repro.stochastic.rootfind import IntervalUnion
 
 __all__ = ["TypeDistribution", "BayesianSwapGame", "information_value"]
 
@@ -84,6 +90,51 @@ class TypeDistribution:
         return list(zip(self.values, self.probabilities))
 
 
+class _TypeProfile(BackwardInduction):
+    """The game at one type profile, Bob playing his belief-driven region.
+
+    ``params`` carry the profile's premiums; :meth:`bob_t2_region` is
+    the region of the Bob type ``bob``, which he chose under his belief
+    about Alice, as :class:`~repro.core.optionality.CommittedBobSolver`
+    pins its own. Its ``t3`` threshold and ``t1`` stage are the
+    profile's own.
+    """
+
+    def __init__(self, params: SwapParameters, bob: _BeliefBob) -> None:
+        super().__init__(params, bob.pstar, bob.quad_order, bob.scan_points)
+        self._bob = bob
+
+    def bob_t2_region(self) -> IntervalUnion:
+        return self._bob.bob_t2_region()
+
+
+class _BeliefBob(BackwardInduction):
+    """The game as one Bob type plays it under his belief about Alice.
+
+    ``params`` carry Alice's true premium and this Bob's. His ``t2``
+    continuation value is the belief-weighted mixture of the per-type
+    Eq. (21) values -- Alice's threshold enters it through the branch
+    split, so the mixture is exact by linearity of expectation -- and
+    the inherited :meth:`bob_t2_region` is therefore his belief-driven
+    region. Every other stage is the true Alice's.
+    """
+
+    def __init__(self, game: BayesianSwapGame, bob_alpha: float) -> None:
+        params = game.params.replace(alpha_b=bob_alpha)
+        super().__init__(params, game.pstar, game.quad_order, game.scan_points)
+        #: ``(weight, profile)`` per Alice type, facing this Bob
+        self.alice_types = [
+            (weight, _TypeProfile(params.replace(alpha_a=alpha_a), self))
+            for alpha_a, weight in game.belief_about_alice.items()
+        ]
+
+    def bob_t2_cont(self, p2):
+        total = np.zeros_like(_as_array(p2))
+        for weight, profile in self.alice_types:
+            total = total + weight * _as_array(profile.bob_t2_cont(p2))
+        return _out(total)
+
+
 class BayesianSwapGame:
     """The swap game with two-sided uncertainty over success premiums.
 
@@ -91,8 +142,9 @@ class BayesianSwapGame:
     ----------
     params:
         The *true* parameter set (``params.alice.alpha`` and
-        ``params.bob.alpha`` are the realised types). Discount rates
-        and timing constants are common knowledge, as in the paper.
+        ``params.bob.alpha`` are the realised types). Discount rates,
+        timing constants and the price law are common knowledge, as in
+        the paper.
     pstar:
         Agreed exchange rate.
     belief_about_alice:
@@ -118,17 +170,16 @@ class BayesianSwapGame:
         self.belief_about_bob = belief_about_bob
         self.quad_order = quad_order
         self.scan_points = scan_points
-        # per-Alice-type solvers with Bob's TRUE premium (used by Bob's
-        # own stage payoffs, which depend on alpha_B, and the per-type
-        # Alice thresholds, which depend on alpha_A)
-        self._alice_type_solvers: Dict[float, BackwardInduction] = {
-            a: BackwardInduction(
-                params.replace(alpha_a=a), pstar, quad_order, scan_points
-            )
-            for a in belief_about_alice.values
-        }
-        self._true_solver = BackwardInduction(params, pstar, quad_order, scan_points)
-        self._bob_regions: Dict[float, IntervalUnion] = {}
+        self._bobs: Dict[float, _BeliefBob] = {}
+
+    def _bob(self, bob_alpha: Optional[float] = None) -> _BeliefBob:
+        """The Bob type ``bob_alpha`` (default: the true one), built once."""
+        if bob_alpha is None:
+            bob_alpha = self.params.bob.alpha
+        bob = self._bobs.get(bob_alpha)
+        if bob is None:
+            bob = self._bobs[bob_alpha] = _BeliefBob(self, bob_alpha)
+        return bob
 
     # ------------------------------------------------------------------ #
     # Bob at t2 under uncertainty about alpha_A
@@ -141,50 +192,11 @@ class BayesianSwapGame:
         mixture over her types is exact by linearity of expectation.
         Defaults to the true ``alpha_B``.
         """
-        if bob_alpha is None:
-            bob_alpha = self.params.bob.alpha
-        total = np.zeros_like(_as_array(p2), dtype=float)
-        for alpha_a, weight in self.belief_about_alice.items():
-            solver = BackwardInduction(
-                self.params.replace(alpha_a=alpha_a, alpha_b=bob_alpha),
-                self.pstar,
-                self.quad_order,
-                self.scan_points,
-            )
-            total = total + weight * _as_array(solver.bob_t2_cont(p2))
-        return total if total.ndim else float(total)
+        return self._bob(bob_alpha).bob_t2_cont(p2)
 
     def bob_t2_region(self, bob_alpha: float = None) -> IntervalUnion:
         """Continuation region of a Bob type under his belief about Alice."""
-        if bob_alpha is None:
-            bob_alpha = self.params.bob.alpha
-        if bob_alpha in self._bob_regions:
-            return self._bob_regions[bob_alpha]
-
-        def advantage(q: float) -> float:
-            return float(self.bob_t2_cont(q, bob_alpha)) - q
-
-        scale = max(self.pstar, self.params.p0)
-        lo, hi = 1e-6 * scale, 1e4 * scale
-        grid = np.exp(np.linspace(math.log(lo), math.log(hi), self.scan_points))
-        values = np.asarray(self.bob_t2_cont(grid, bob_alpha)) - grid
-        roots: List[float] = []
-        for i in range(len(grid) - 1):
-            va, vb = values[i], values[i + 1]
-            if va == 0.0:
-                continue
-            if vb == 0.0 or va * vb < 0.0:
-                roots.append(bracketed_root(advantage, float(grid[i]), float(grid[i + 1])))
-        edges = [lo] + sorted(roots) + [hi]
-        keep = []
-        for a, b in zip(edges[:-1], edges[1:]):
-            if b <= a:
-                continue
-            if advantage(math.sqrt(a * b)) > 0.0:
-                keep.append((a, b))
-        region = IntervalUnion.from_intervals(keep)
-        self._bob_regions[bob_alpha] = region
-        return region
+        return self._bob(bob_alpha).bob_t2_region()
 
     # ------------------------------------------------------------------ #
     # Alice at t1 under uncertainty about alpha_B
@@ -196,20 +208,10 @@ class BayesianSwapGame:
         Alice's own branch values use her *true* premium; only the
         continuation region she anticipates varies with Bob's type.
         """
-        p = self.params
-        law = p.process.law(p.p0, p.tau_a)
         total = 0.0
         for alpha_b, weight in self.belief_about_bob.items():
-            region = self.bob_t2_region(alpha_b)
-            inside = sum(
-                expectation_on_interval(
-                    law, self._true_solver.alice_t2_cont, lo, hi, self.quad_order
-                )
-                for lo, hi in region.intervals
-            )
-            outside = (1.0 - region.probability(law)) * self._true_solver.alice_t2_stop()
-            total += weight * (inside + outside)
-        return total * math.exp(-p.alice.r * p.tau_a)
+            total += weight * self._bob(alpha_b).alice_t1_cont()
+        return total
 
     def alice_t1_stop(self) -> float:
         """Eq. (27)."""
@@ -229,55 +231,15 @@ class BayesianSwapGame:
         Bob's region is his belief-driven one; Alice's reveal threshold
         is her true Eq. (18) threshold.
         """
-        p = self.params
-        law = p.process.law(p.p0, p.tau_a)
-        region = self.bob_t2_region()
-        if region.is_empty:
-            return 0.0
-        threshold = self._true_solver.p3_threshold()
-        s = p.sigma * math.sqrt(p.tau_b)
-        drift = (p.mu - 0.5 * p.sigma**2) * p.tau_b
-
-        from repro.stochastic.lognormal import norm_cdf
-
-        def survive(x: np.ndarray) -> np.ndarray:
-            z = (math.log(threshold) - np.log(x) - drift) / s
-            return norm_cdf(-z)
-
-        return sum(
-            expectation_on_interval(law, survive, lo, hi, self.quad_order)
-            for lo, hi in region.intervals
-        )
+        return self._bob().success_rate()
 
     def ex_ante_success_rate(self) -> float:
         """Expected SR before types realise, averaging over both beliefs."""
         total = 0.0
-        for alpha_a, wa in self.belief_about_alice.items():
-            solver_a = self._alice_type_solvers[alpha_a]
-            threshold = solver_a.p3_threshold()
-            for alpha_b, wb in self.belief_about_bob.items():
-                region = self.bob_t2_region(alpha_b)
-                total += wa * wb * self._conditional_sr(region, threshold)
+        for alpha_b, wb in self.belief_about_bob.items():
+            for wa, profile in self._bob(alpha_b).alice_types:
+                total += wa * wb * profile.success_rate()
         return total
-
-    def _conditional_sr(self, region: IntervalUnion, threshold: float) -> float:
-        p = self.params
-        law = p.process.law(p.p0, p.tau_a)
-        if region.is_empty:
-            return 0.0
-        s = p.sigma * math.sqrt(p.tau_b)
-        drift = (p.mu - 0.5 * p.sigma**2) * p.tau_b
-
-        from repro.stochastic.lognormal import norm_cdf
-
-        def survive(x: np.ndarray) -> np.ndarray:
-            z = (math.log(threshold) - np.log(x) - drift) / s
-            return norm_cdf(-z)
-
-        return sum(
-            expectation_on_interval(law, survive, lo, hi, self.quad_order)
-            for lo, hi in region.intervals
-        )
 
 
 def information_value(

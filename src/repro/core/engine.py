@@ -14,9 +14,10 @@ rate at a time. :class:`GridSolver` evaluates the entire grid at once:
   the ``P*`` axis, and the ``t3`` thresholds, ``t2`` continuation values
   and ``t1`` values are that schedule's own methods -- the ones the
   scalar solvers call at one ``P*``;
-* the ``t2`` scan grids, Bob's advantage function, the endpoint roots,
-  and the ``t1`` quadratures are computed as broadcast NumPy operations
-  over the ``P*`` axis;
+* the ``t2`` scan grids, Bob's advantage function and the endpoint
+  roots are computed as broadcast NumPy operations over the ``P*``
+  axis, in the scalar solvers' own window
+  (:func:`~repro.core.backward_induction.scan_window`);
 * the scan is *certified*: Bob's advantage is evaluated on every
   ``_SCAN_BLOCK``-th column and its sign proven on the blocks between
   them from the monotonicity of the transition pieces in the spot, so
@@ -24,21 +25,27 @@ rate at a time. :class:`GridSolver` evaluates the entire grid at once:
   brackets are exactly the full scan's (:meth:`GridSolver._certified_scan`);
 * one batched Chandrupatla refiner
   (:func:`~repro.stochastic.rootfind.bisect_roots`) takes every bracket
-  to its root, and one quadrature pass integrates a stacked integrand --
-  both agents' ``t2`` continuation values, from one ``pieces`` call on
-  the nodes, and the success-rate survival term.
+  to its root;
+* the roots become Bob's regions by the scalar solvers' rule
+  (:func:`~repro.stochastic.rootfind.regions_between_roots`), and the
+  ``t1`` stage is the schedule's own
+  :meth:`~repro.core.backward_induction.PayoffSchedule.t1_values`: one
+  quadrature pass of a stacked integrand -- both agents' ``t2``
+  continuation values, from one ``pieces`` call on the nodes, and the
+  success-rate survival term.
 
 Array layout convention (see DESIGN.md): the leading axis is always the
 ``P*`` grid (length ``n``); scan grids are ``(n, scan_points)``;
 bracket and interval data are *flattened* into ``(rows, lo, hi)``
 triples because different grid points own different numbers of
 roots/intervals, and per-point results are recovered with
-``np.bincount(rows, weights=..., minlength=n)`` scatter-adds. Because
-both solvers read one schedule, the scalar solvers differ from the
-engine only in how they locate and integrate Bob's region: Brent vs
-the Chandrupatla refiner (~1e-12 at the region roots) and per-interval
-vs batched quadrature (~1 ulp). ``tests/core/test_grid_parity.py``
-holds the two to ``|delta| <= 1e-9``.
+``np.bincount(rows, weights=..., minlength=n)`` scatter-adds. The
+window, the root-to-region rule and the ``t1`` stage are the scalar
+solvers' own code, so up to rounding the two differ only in how they
+locate the region's roots: a full scan refined by Brent's method
+against the certified scan and the Chandrupatla refiner (~1e-12 at the
+region roots). ``tests/core/test_grid_parity.py`` holds the two to
+``|delta| <= 1e-9``.
 
 Every solve lands in the active :mod:`repro.obs` registry:
 ``repro_grid_solves_total``, ``repro_grid_points`` (grid-size
@@ -50,24 +57,26 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.core.backward_induction import PayoffSchedule, collateral_schedule
+from repro.core.backward_induction import (
+    PayoffSchedule,
+    collateral_schedule,
+    scan_window,
+)
 from repro.core.equilibrium import StageUtilities, SwapEquilibrium
 from repro.core.parameters import SwapParameters
 from repro.core.strategy import AliceStrategy, BobStrategy
 from repro.obs.metrics import get_registry
 from repro.stochastic.law import observe_law, step_kernel
-from repro.stochastic.quadrature import (
-    DEFAULT_QUAD_ORDER,
-    expectation_on_intervals,
-)
+from repro.stochastic.quadrature import DEFAULT_QUAD_ORDER
 from repro.stochastic.rootfind import (
     IntervalUnion,
     bisect_roots,
     grid_sign_change_brackets,
+    regions_between_roots,
 )
 
 __all__ = ["EquilibriumGrid", "GridSolver", "solve_grid", "feasible_regions_grid"]
@@ -328,113 +337,44 @@ class GridSolver:
         schedule = collateral_schedule(p, pstars, self.collateral)
         k3 = schedule.p3_threshold()
 
-        # --- t2: locate Bob's continuation region on every row at once.
-        # Same scan window and bracket rule as the scalar bob_t2_region.
-        scale = np.maximum(np.maximum(pstars, p.p0), k3)
-        lo_vec = 1e-6 * np.minimum(pstars, p.p0)
-        hi_vec = 1e4 * scale
+        # --- t2: locate Bob's continuation region on every row at once,
+        # in the scalar solvers' window and with their root-to-region rule
+        lo_vec, hi_vec = scan_window(pstars, p.p0, k3)
         grid = np.exp(
             np.linspace(np.log(lo_vec), np.log(hi_vec), self.scan_points, axis=1)
         )
         signs = self._certified_scan(grid, k3, schedule)
         rows, bracket_lo, bracket_hi = grid_sign_change_brackets(grid, signs)
         bracket_schedule = schedule.at(rows)
-
-        def advantage_flat(x: np.ndarray) -> np.ndarray:
-            return self._bob_advantage(x, k3[rows], bracket_schedule)
-
-        roots = bisect_roots(advantage_flat, bracket_lo, bracket_hi)
-
-        # candidate intervals between consecutive roots, per row; the
-        # geometric-midpoint sign checks are batched into one flat call
-        roots_by_row: Dict[int, List[float]] = {}
-        for row, root in zip(rows.tolist(), roots.tolist()):
-            roots_by_row.setdefault(row, []).append(root)
-        cand_rows: List[int] = []
-        cand_lo: List[float] = []
-        cand_hi: List[float] = []
-        for i in range(n):
-            edges = [float(lo_vec[i])] + roots_by_row.get(i, []) + [float(hi_vec[i])]
-            for edge_lo, edge_hi in zip(edges[:-1], edges[1:]):
-                if edge_hi <= edge_lo:
-                    continue
-                cand_rows.append(i)
-                cand_lo.append(edge_lo)
-                cand_hi.append(edge_hi)
-        cand_rows_arr = np.asarray(cand_rows, dtype=np.intp)
-        cand_lo_arr = np.asarray(cand_lo, dtype=float)
-        cand_hi_arr = np.asarray(cand_hi, dtype=float)
-        mids = np.sqrt(cand_lo_arr * cand_hi_arr)
-        mid_advantage = self._bob_advantage(
-            mids, k3[cand_rows_arr], schedule.at(cand_rows_arr)
+        roots = bisect_roots(
+            lambda x: self._bob_advantage(x, k3[rows], bracket_schedule),
+            bracket_lo,
+            bracket_hi,
         )
-        keep = mid_advantage > 0.0
-        iv_rows = cand_rows_arr[keep]
-        iv_lo = cand_lo_arr[keep]
-        iv_hi = cand_hi_arr[keep]
-        regions: List[List[Tuple[float, float]]] = [[] for _ in range(n)]
-        for row, interval_lo, interval_hi in zip(
-            iv_rows.tolist(), iv_lo.tolist(), iv_hi.tolist()
-        ):
-            regions[row].append((interval_lo, interval_hi))
-        t2_regions = tuple(IntervalUnion.from_intervals(r) for r in regions)
-
-        # --- t1: one batched quadrature over the flattened intervals, all
-        # under the one shared law, of a stacked integrand: both agents'
-        # t2 continuation values (one pieces call) and the SR survival
-        # term; the three rows are scattered back per grid point. The
-        # survival row keeps the scalar solvers' log-space kernel: the
-        # lognormal pieces' survival differs from it by an ulp.
-        law = self._t1_law
-        kernel_b = self._kernel_b
-        k_iv = k3[iv_rows][:, None]
-        log_k_iv = np.log(np.where(k3 > 0.0, k3, 1.0))[iv_rows][:, None]
-        iv_schedule = schedule.at(iv_rows[:, None])
-
-        def t2_values(x: np.ndarray) -> np.ndarray:
-            pieces = kernel_b.pieces(x, k_iv)
-            return np.stack(
-                [
-                    iv_schedule.alice_t2_cont(p, x, pieces),
-                    iv_schedule.bob_t2_cont(p, x, pieces),
-                    kernel_b.survival_from_logs(np.log(x), log_k_iv),
-                ]
-            )
-
-        inside_alice, inside_bob, sr_quad = (
-            np.bincount(iv_rows, weights=weights, minlength=n)
-            for weights in expectation_on_intervals(
-                law, t2_values, iv_lo, iv_hi, self.quad_order
-            )
-        )
-        prob_inside = np.bincount(
-            iv_rows,
-            weights=np.maximum(law.cdf(iv_hi) - law.cdf(iv_lo), 0.0),
-            minlength=n,
-        )
-        price_mass = np.bincount(
-            iv_rows,
-            weights=np.maximum(
-                law.partial_expectation_above(iv_lo)
-                - law.partial_expectation_above(iv_hi),
-                0.0,
+        iv_rows, iv_lo, iv_hi = regions_between_roots(
+            lo_vec,
+            hi_vec,
+            rows,
+            roots,
+            lambda piece_rows, mids: self._bob_advantage(
+                mids, k3[piece_rows], schedule.at(piece_rows)
             ),
-            minlength=n,
         )
 
-        # --- success rate (Eq. (31)/(40)) from the stacked pass's survival row
-        empty = np.bincount(iv_rows, minlength=n) == 0
-        success = np.where(empty, 0.0, np.where(k3 > 0.0, sr_quad, prob_inside))
-
+        # --- t1 and the success rate (Eqs. (25), (26), (31)/(40)): one
+        # stacked quadrature pass under the one shared law
+        alice_t1, bob_t1, success = schedule.t1_values(
+            p, self._t1_law, self._kernel_b, k3, iv_rows, iv_lo, iv_hi, self.quad_order
+        )
         result = EquilibriumGrid(
             params=p,
             collateral=self.collateral,
             pstars=pstars,
             p3_threshold=k3,
-            t2_regions=t2_regions,
-            alice_t1_cont=schedule.alice_t1_cont(p, inside_alice, prob_inside),
+            t2_regions=IntervalUnion.by_row(n, iv_rows, iv_lo, iv_hi),
+            alice_t1_cont=alice_t1,
             alice_t1_stop=schedule.alice_stay,
-            bob_t1_cont=schedule.bob_t1_cont(p, inside_bob, price_mass, law.mean()),
+            bob_t1_cont=bob_t1,
             bob_t1_stop=np.full(n, schedule.bob_stay),
             success_rate=success,
         )
@@ -489,7 +429,10 @@ def feasible_regions_grid(
     ``t1`` advantages; the boundary roots of the two sign patterns are
     then refined together -- one batched refinement whose objective is a
     single engine solve over all candidate boundary points, with an
-    agent mask selecting which advantage each bracket tracks.
+    agent mask selecting which advantage each bracket tracks -- and cut
+    into the regions by the solvers' shared rule
+    (:func:`~repro.stochastic.rootfind.regions_between_roots`), whose
+    midpoint checks for both agents are one more engine solve.
     """
     if not (lo > 0.0 and hi > lo):
         raise ValueError(f"need 0 < lo < hi, got lo={lo}, hi={hi}")
@@ -506,30 +449,14 @@ def feasible_regions_grid(
         np.broadcast_to(ks, advantages.shape), advantages
     )
 
-    def advantage_at(points: np.ndarray) -> np.ndarray:
+    def advantage_at(agent_rows: np.ndarray, points: np.ndarray) -> np.ndarray:
         g = solver.solve(points)
         alice = g.alice_t1_cont - g.alice_t1_stop
         bob = g.bob_t1_cont - g.bob_t1_stop
-        return np.where(agents == 0, alice, bob)
+        return np.where(agent_rows == 0, alice, bob)
 
-    roots = bisect_roots(advantage_at, bracket_lo, bracket_hi)
-
-    out: List[IntervalUnion] = []
-    for agent in (0, 1):
-        edges = [lo] + sorted(roots[agents == agent].tolist()) + [hi]
-        mids = np.sqrt(
-            np.asarray(edges[:-1], dtype=float) * np.asarray(edges[1:], dtype=float)
-        )
-        g = solver.solve(mids)
-        mid_adv = (
-            g.alice_t1_cont - g.alice_t1_stop
-            if agent == 0
-            else g.bob_t1_cont - g.bob_t1_stop
-        )
-        keep = [
-            (edge_lo, edge_hi)
-            for edge_lo, edge_hi, adv in zip(edges[:-1], edges[1:], mid_adv)
-            if edge_hi > edge_lo and adv > 0.0
-        ]
-        out.append(IntervalUnion.from_intervals(keep))
-    return out[0], out[1]
+    roots = bisect_roots(lambda x: advantage_at(agents, x), bracket_lo, bracket_hi)
+    alice, bob = IntervalUnion.by_row(
+        2, *regions_between_roots([lo, lo], [hi, hi], agents, roots, advantage_at)
+    )
+    return alice, bob

@@ -67,7 +67,7 @@ class ServerConfig:
     cache_size, cache_dir, cache_entries, timeout:
         Forwarded to :class:`~repro.service.api.SwapService` (memory
         LRU capacity, disk tier directory and entry bound, per-solve
-        pool budget).
+        pool budget; a timeout needs ``workers > 1``).
     metrics_out:
         Optional path; the registry is flushed there in Prometheus text
         format when the server drains.
@@ -177,6 +177,10 @@ class ServerConfig:
         object.__setattr__(
             self, "timeout", _check_positive_seconds("timeout", self.timeout)
         )
+        if self.timeout is not None and self.workers <= 1:
+            raise ValueError(
+                "a timeout needs workers > 1: a serial call cannot be preempted"
+            )
         if self.cache_entries is not None:
             object.__setattr__(
                 self,

@@ -103,7 +103,8 @@ class SwapService:
         Bound on the disk tier's entry count (``None``: unbounded);
         oldest entries are pruned on write once the bound is exceeded.
     timeout:
-        Per-request wall-clock budget in seconds (pooled mode only).
+        Per-request wall-clock budget in seconds; needs
+        ``max_workers > 1`` (a serial call cannot be preempted).
     faults:
         Optional chaos hook: ``None`` (default, no faults), a plan-file
         path, an :class:`~repro.faults.plan.InjectionPlan`, or a shared

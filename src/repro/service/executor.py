@@ -9,7 +9,9 @@ object. :class:`WorkerPool` maps it over a batch:
   execution;
 * ``max_workers > 1`` uses a :class:`~concurrent.futures.ProcessPoolExecutor`
   with a per-request timeout. A timeout fails *that request* with a
-  typed error; the rest of the batch completes.
+  typed error; the rest of the batch completes. A serial call cannot
+  be preempted, so a timeout needs ``max_workers > 1``, and with one
+  set even a lone job goes through the pool.
 
 Self-healing: a worker crash breaks the whole
 :class:`~concurrent.futures.ProcessPoolExecutor` -- every
@@ -54,12 +56,7 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.backward_induction import BackwardInduction
-from repro.core.collateral import (
-    CollateralBackwardInduction,
-    CollateralEquilibrium,
-    solve_collateral_game,
-)
+from repro.core.collateral import CollateralEquilibrium, solve_collateral_game
 from repro.core.equilibrium import SwapEquilibrium
 from repro.core.solver import solve_swap_game
 from repro.faults.injector import build_injector
@@ -76,7 +73,7 @@ from repro.service.requests import (
     SwapGraphRequest,
     ValidateRequest,
 )
-from repro.simulation.montecarlo import MonteCarloResult, empirical_success_rate
+from repro.simulation.montecarlo import MonteCarloResult, validate_against_analytic
 from repro.swapgraph.replay import replay_swap_graph
 from repro.swapgraph.result import SwapGraphResult
 from repro.swapgraph.solver import solve_swap_graph
@@ -121,15 +118,7 @@ def execute_request(request: Request, seed: Optional[int] = None) -> Result:
         if isinstance(request, ValidateRequest):
             if seed is None:
                 seed = request.seed if request.seed is not None else 0
-            if request.collateral > 0.0:
-                analytic = CollateralBackwardInduction(
-                    request.params, request.pstar, request.collateral
-                ).success_rate()
-            else:
-                analytic = BackwardInduction(
-                    request.params, request.pstar
-                ).success_rate()
-            empirical = empirical_success_rate(
+            empirical, analytic = validate_against_analytic(
                 request.params,
                 request.pstar,
                 n_paths=request.n_paths,
@@ -253,9 +242,11 @@ class WorkerPool:
         larger values fork a :class:`ProcessPoolExecutor` of that size.
     timeout:
         Per-request wall-clock budget in seconds (``None``: no limit).
-        Only enforced in pooled mode; a timed-out request yields a
-        :class:`RequestTimeoutError`, its worker is abandoned and the
-        pool keeps serving the remaining futures.
+        Needs ``max_workers > 1``, since a serial call cannot be
+        preempted; every map then runs in the pool, a lone job too. A
+        timed-out request yields a :class:`RequestTimeoutError`, its
+        worker is abandoned and the pool keeps serving the remaining
+        futures.
     faults:
         Optional chaos hook (``None``, an
         :class:`~repro.faults.plan.InjectionPlan`, or an injector);
@@ -277,6 +268,10 @@ class WorkerPool:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         if max_requeues < 0:
             raise ValueError(f"max_requeues must be >= 0, got {max_requeues}")
+        if timeout is not None and max_workers <= 1:
+            raise ValueError(
+                "a timeout needs workers > 1: a serial call cannot be preempted"
+            )
         self.max_workers = int(max_workers)
         self.timeout = timeout
         self.max_requeues = int(max_requeues)
@@ -297,7 +292,9 @@ class WorkerPool:
         """
         self._metrics.inflight.inc(len(jobs))
         try:
-            if self.max_workers <= 1 or len(jobs) <= 1:
+            # a lone job runs in process unless a timeout must preempt it
+            lone = len(jobs) == 0 or (len(jobs) == 1 and self.timeout is None)
+            if self.max_workers <= 1 or lone:
                 return [self._run_serial(request, seed) for request, seed in jobs]
             return self._run_pooled(jobs)
         finally:

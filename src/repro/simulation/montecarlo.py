@@ -19,9 +19,9 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.agents.rational import rational_pair
-from repro.core.collateral import CollateralBackwardInduction
+from repro.agents.rational import pair_from_solver
 from repro.core.backward_induction import BackwardInduction
+from repro.core.collateral import CollateralBackwardInduction
 from repro.core.parameters import SwapParameters
 from repro.simulation.engine import EpisodeConfig, run_episode
 from repro.simulation.results import BatchSummary, wilson_interval
@@ -63,26 +63,24 @@ class MonteCarloResult:
         return self.ci_low <= analytic_rate <= self.ci_high
 
 
+def _solver(params: SwapParameters, pstar: float, collateral: float) -> BackwardInduction:
+    """The one solver a run's strategies come from."""
+    if collateral > 0.0:
+        return CollateralBackwardInduction(params, pstar, collateral)
+    return BackwardInduction(params, pstar)
+
+
 def _strategy_level_counts(
-    params: SwapParameters,
-    pstar: float,
-    collateral: float,
+    solver: BackwardInduction,
     n_paths: int,
     rng: RandomState,
     antithetic: bool,
 ) -> Tuple[int, int, int]:
     """Vectorised (initiated, completed, total) under threshold strategies."""
-    if collateral > 0.0:
-        solver: BackwardInduction = CollateralBackwardInduction(
-            params, pstar, collateral
-        )
-    else:
-        solver = BackwardInduction(params, pstar)
-    initiate = solver.alice_t1_cont() > solver.alice_t1_stop()
-    if not initiate:
+    if not solver.alice_initiates():
         return 0, 0, n_paths
 
-    prices = _decision_prices(params, rng, n_paths, antithetic)
+    prices = _decision_prices(solver.params, rng, n_paths, antithetic)
     p2 = prices[:, 1]
     p3 = prices[:, 2]
     region = solver.bob_t2_region()
@@ -108,6 +106,24 @@ def empirical_success_rate(
     antithetic: bool = False,
 ) -> MonteCarloResult:
     """Empirical SR (completed / initiated) over ``n_paths`` episodes."""
+    solver = _solver(params, pstar, collateral)
+    return _simulate(
+        solver, params, pstar, n_paths, seed, collateral, protocol_level, antithetic
+    )
+
+
+def _simulate(
+    solver: BackwardInduction,
+    params: SwapParameters,
+    pstar: float,
+    n_paths: int,
+    seed: int,
+    collateral: float,
+    protocol_level: bool,
+    antithetic: bool,
+) -> MonteCarloResult:
+    """:func:`empirical_success_rate` with the agents playing ``solver``'s
+    equilibrium: its initiation decision, threshold and region."""
     import time
 
     from repro.obs.metrics import get_registry
@@ -118,7 +134,7 @@ def empirical_success_rate(
     mc_started = time.perf_counter()
 
     if protocol_level:
-        alice, bob = rational_pair(params, pstar, collateral=collateral)
+        alice, bob = pair_from_solver(solver)
         config = EpisodeConfig(
             params=params,
             pstar=pstar,
@@ -136,7 +152,7 @@ def empirical_success_rate(
         n_completed = summary.n_completed
     else:
         n_initiated, n_completed, _total = _strategy_level_counts(
-            params, pstar, collateral, n_paths, rng, antithetic
+            solver, n_paths, rng, antithetic
         )
 
     elapsed = time.perf_counter() - mc_started
@@ -183,19 +199,13 @@ def validate_against_analytic(
     collateral: float = 0.0,
     protocol_level: bool = False,
 ) -> Tuple[MonteCarloResult, float]:
-    """Run the Monte Carlo and return it with the matching analytic SR."""
-    if collateral > 0.0:
-        analytic = CollateralBackwardInduction(
-            params, pstar, collateral
-        ).success_rate()
-    else:
-        analytic = BackwardInduction(params, pstar).success_rate()
-    empirical = empirical_success_rate(
-        params,
-        pstar,
-        n_paths=n_paths,
-        seed=seed,
-        collateral=collateral,
-        protocol_level=protocol_level,
+    """Run the Monte Carlo and return it with the matching analytic SR.
+
+    One solver serves both: its strategies drive the episodes and its
+    Eq. (31)/(40) success rate is the analytic value.
+    """
+    solver = _solver(params, pstar, collateral)
+    empirical = _simulate(
+        solver, params, pstar, n_paths, seed, collateral, protocol_level, False
     )
-    return empirical, analytic
+    return empirical, solver.success_rate()

@@ -12,6 +12,9 @@ This module provides
   scalar solvers' refiner);
 * :func:`grid_sign_change_brackets` -- the sign-change brackets of a
   whole batch of pre-evaluated log-grid scans in one pass;
+* :func:`regions_between_roots` -- each row's window cut at its roots
+  into the pieces where an advantage is positive (every solver's
+  root-to-region rule);
 * :func:`bisect_roots` -- Chandrupatla's bracketed superlinear step on
   a batch of brackets at once (the grid engine's refiner);
 * :class:`IntervalUnion` -- a normalised union of disjoint open
@@ -32,6 +35,7 @@ from scipy.optimize import brentq
 __all__ = [
     "bracketed_root",
     "grid_sign_change_brackets",
+    "regions_between_roots",
     "bisect_roots",
     "IntervalUnion",
 ]
@@ -110,6 +114,41 @@ def grid_sign_change_brackets(
     mask = (va != 0.0) & ((vb == 0.0) | (va * vb < 0.0))
     rows, cols = np.nonzero(mask)
     return rows, grid[rows, cols], grid[rows, cols + 1]
+
+
+def regions_between_roots(
+    lo,
+    hi,
+    rows,
+    roots,
+    advantage: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where a batch of advantages is positive, from their roots.
+
+    Row ``i``'s window ``(lo[i], hi[i])`` is cut at the ``roots`` whose
+    ``rows`` entry is ``i``; each piece of positive width is kept when
+    the advantage is positive at its geometric midpoint.
+    ``advantage(piece_rows, midpoints)`` is called once, on the pieces
+    of every row, and returns one value per piece. Returns the kept
+    pieces as the flat triple ``(rows, lo, hi)``, ascending within
+    each row.
+    """
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    rows = np.asarray(rows, dtype=np.intp)
+    roots = np.asarray(roots, dtype=float)
+    n = lo.size
+    edge_rows = np.concatenate([np.arange(n), rows, np.arange(n)])
+    edges = np.concatenate([lo, roots, hi])
+    # per row: the window's low end, the roots in ascending order, its high end
+    rank = np.concatenate([np.zeros(n), np.ones(roots.size), np.full(n, 2.0)])
+    order = np.lexsort((edges, rank, edge_rows))
+    edge_rows, edges = edge_rows[order], edges[order]
+    piece = (edge_rows[:-1] == edge_rows[1:]) & (edges[1:] > edges[:-1])
+    piece_rows = edge_rows[:-1][piece]
+    piece_lo, piece_hi = edges[:-1][piece], edges[1:][piece]
+    keep = np.asarray(advantage(piece_rows, np.sqrt(piece_lo * piece_hi))) > 0.0
+    return piece_rows[keep], piece_lo[keep], piece_hi[keep]
 
 
 def bisect_roots(
@@ -236,6 +275,14 @@ class IntervalUnion:
             else:
                 merged.append((lo, hi))
         return IntervalUnion(tuple(merged))
+
+    @staticmethod
+    def by_row(n: int, rows, lo, hi) -> Tuple["IntervalUnion", ...]:
+        """One union per row ``0..n-1`` of the flat triple ``(rows, lo, hi)``."""
+        pairs: List[List[Tuple[float, float]]] = [[] for _ in range(n)]
+        for row, a, b in zip(rows.tolist(), lo.tolist(), hi.tolist()):
+            pairs[row].append((a, b))
+        return tuple(IntervalUnion.from_intervals(p) for p in pairs)
 
     # ------------------------------------------------------------------ #
     # queries

@@ -160,6 +160,15 @@ class TestHardening:
         assert main(["solve", "--pstar", "nan"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["batch", "stats"])
+    def test_timeout_without_workers_clean_error(self, capsys, tmp_path, command):
+        # a serial solve cannot be preempted, so the budget needs a pool
+        # (serve's ServerConfig check is in tests/service/test_api.py)
+        path = _write_requests(tmp_path, ['{"kind": "solve", "pstar": 2.0}'])
+        assert main([command, "--timeout", "1", path]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "workers > 1" in err
+
     def test_missing_batch_file_clean_error(self, capsys, tmp_path):
         assert main(["batch", str(tmp_path / "absent.jsonl")]) == 2
         err = capsys.readouterr().err

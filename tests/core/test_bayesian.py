@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,12 @@ from hypothesis import strategies as st
 from repro.core.backward_induction import BackwardInduction
 from repro.core.bayesian import BayesianSwapGame, TypeDistribution, information_value
 from repro.core.parameters import SwapParameters
+from repro.stochastic.law import registered_laws
+
+#: every registered law at its defaults, plus a heavy-jump merton spec
+LAW_SPECS = tuple(sorted(registered_laws())) + (
+    "merton:jump_intensity=0.5,jump_mean=-0.2,jump_std=0.2",
+)
 
 
 class TestTypeDistribution:
@@ -67,6 +74,27 @@ class TestCompleteInformationReduction:
         bayes, base = games
         assert bayes.realised_success_rate() == pytest.approx(base.success_rate())
         assert bayes.ex_ante_success_rate() == pytest.approx(base.success_rate())
+
+
+@pytest.mark.parametrize("law", LAW_SPECS)
+def test_point_beliefs_are_the_complete_information_game_under_every_law(law):
+    """The game integrates under ``params.law``, so point beliefs at the
+    true types reproduce the solver exactly, whatever the law."""
+    params = SwapParameters.default().replace(law=law)
+    game = BayesianSwapGame(
+        params, 2.0,
+        TypeDistribution.point(params.alice.alpha),
+        TypeDistribution.point(params.bob.alpha),
+    )
+    base = BackwardInduction(params, 2.0)
+    prices = np.linspace(0.5, 4.0, 15)
+    assert game.bob_t2_cont(prices).tolist() == base.bob_t2_cont(prices).tolist()
+    assert game.bob_t2_region() == base.bob_t2_region()
+    assert game.alice_t1_cont() == base.alice_t1_cont()
+    assert game.realised_success_rate() == base.success_rate()
+    assert game.ex_ante_success_rate() == base.success_rate()
+    # the threshold the realised rate plays is the true Alice's
+    assert game._bob().p3_threshold() == base.p3_threshold()
 
 
 class TestUncertaintyEffects:

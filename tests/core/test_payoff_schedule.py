@@ -41,6 +41,7 @@ from repro.core.parameters import SwapParameters
 from repro.core.premium import PremiumBackwardInduction, premium_schedule
 from repro.stochastic.law import parse_law
 from repro.stochastic.quadrature import expectation_on_interval
+from repro.stochastic.rootfind import IntervalUnion
 
 LAWS = ("lognormal", "merton:jump_intensity=0.2,jump_mean=-0.1", "regime")
 
@@ -179,3 +180,61 @@ class TestStageMethodsReadTheSchedule:
         assert solver.bob_t1_stop() == s.bob_stay
         prices = np.array([1.0, 2.0])
         assert np.array_equal(solver.bob_t2_stop(prices), s.bob_keep * prices)
+
+
+class TestT1Values:
+    """The ``t1`` stage every solver calls: Eqs. (25), (26) and (31)."""
+
+    @staticmethod
+    def _stage(params, schedule, k, rows, lo, hi):
+        solver = BackwardInduction(params, 2.0)
+        return schedule.t1_values(
+            params,
+            solver._law(params.p0, params.tau_a),
+            solver._kernel(params.tau_b),
+            k,
+            np.asarray(rows, dtype=np.intp),
+            np.asarray(lo, dtype=float),
+            np.asarray(hi, dtype=float),
+        )
+
+    def test_empty_region_gives_zero_sr_and_the_walk_away_values(self, params):
+        schedule = collateral_schedule(params, 2.0, 0.5)
+        alice, bob, sr = self._stage(
+            params, schedule, schedule.p3_threshold(), [], [], []
+        )
+        law = BackwardInduction(params, 2.0)._law(params.p0, params.tau_a)
+        assert sr.tolist() == [0.0]
+        assert alice[0] == pytest.approx(
+            schedule.alice_walked * math.exp(-params.alice.r * params.tau_a), rel=1e-15
+        )
+        assert bob[0] == pytest.approx(
+            law.mean() * math.exp(-params.bob.r * params.tau_a), rel=1e-15
+        )
+
+    def test_nonpositive_threshold_gives_the_region_mass(self, params):
+        schedule = basic_schedule(params, 2.0)
+        region = IntervalUnion(((1.2, 1.6), (1.9, 2.4)))
+        lo, hi = zip(*region.intervals)
+        law = BackwardInduction(params, 2.0)._law(params.p0, params.tau_a)
+        for k in (0.0, -1.0):
+            _alice, _bob, sr = self._stage(params, schedule, k, [0, 0], lo, hi)
+            assert sr[0] == pytest.approx(region.probability(law), rel=1e-14)
+
+    def test_two_rows_are_two_one_row_calls(self, params):
+        # equal up to the rounding of the quadrature's dot product, whose
+        # BLAS accumulation order depends on the batch size
+        pstars = np.array([1.8, 2.4])
+        both = basic_schedule(params, pstars)
+        regions = [BackwardInduction(params, k).bob_t2_region() for k in pstars]
+        rows = [i for i, region in enumerate(regions) for _ in region.intervals]
+        lo = [a for region in regions for a, _b in region.intervals]
+        hi = [b for region in regions for _a, b in region.intervals]
+        batched = self._stage(params, both, both.p3_threshold(), rows, lo, hi)
+        for i, pstar in enumerate(pstars):
+            one = basic_schedule(params, float(pstar))
+            (a, b), = regions[i].intervals
+            single = self._stage(params, one, one.p3_threshold(), [0], [a], [b])
+            assert [v[i] for v in batched] == pytest.approx(
+                [v[0] for v in single], rel=1e-14
+            )

@@ -203,6 +203,71 @@ class TestExecutor:
         with pytest.raises(ValueError):
             WorkerPool(max_workers=0)
 
+    @pytest.mark.parametrize("collateral", [0.0, 0.5])
+    def test_a_validation_builds_one_solver(self, params, monkeypatch, collateral):
+        from repro.core.backward_induction import BackwardInduction
+
+        built = []
+        init = BackwardInduction.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(BackwardInduction, "__init__", counted)
+        request = ValidateRequest(
+            pstar=2.0, n_paths=2_000, collateral=collateral, params=params
+        )
+        result = execute_request(request, seed=11)
+        assert len(built) == 1
+        monkeypatch.setattr(BackwardInduction, "__init__", init)
+        # the replay bench/checks.py makes of every served validation
+        assert result.empirical == empirical_success_rate(
+            params, 2.0, n_paths=2_000, seed=11, collateral=collateral
+        )
+        solved = (
+            solve_collateral_game(params, 2.0, collateral)
+            if collateral
+            else solve_swap_game(params, 2.0)
+        )
+        assert result.analytic == solved.success_rate
+
+
+class TestPoolTimeout:
+    """A timeout needs a pool: a serial call cannot be preempted."""
+
+    def test_timeout_without_workers_is_rejected(self):
+        from repro.server.config import ServerConfig
+
+        with pytest.raises(ValueError, match="workers > 1"):
+            WorkerPool(max_workers=1, timeout=1.0)
+        with pytest.raises(ValueError, match="workers > 1"):
+            SwapService(timeout=1.0)
+        with pytest.raises(ValueError, match="workers > 1"):
+            ServerConfig(timeout=1.0)
+        assert ServerConfig(workers=2, timeout=1.0).timeout == 1.0
+
+    def test_a_lone_job_with_a_timeout_runs_in_the_pool(self, params):
+        from repro.faults import FaultSpec, InjectionPlan
+        from repro.service.errors import RequestTimeoutError
+
+        plan = InjectionPlan(faults=(FaultSpec(kind="worker_hang", delay=1.0),), seed=0)
+        pool = WorkerPool(max_workers=2, timeout=0.2, faults=plan)
+        [outcome] = pool.map([(SolveRequest(pstar=2.0, params=params), None)])
+        assert isinstance(outcome, RequestTimeoutError)
+
+    def test_a_lone_job_without_a_timeout_stays_in_process(self, params, monkeypatch):
+        import repro.service.executor as executor_module
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a lone job without a timeout must not fork")
+
+        monkeypatch.setattr(executor_module, "ProcessPoolExecutor", no_pool)
+        [result] = WorkerPool(max_workers=2).map(
+            [(SolveRequest(pstar=2.0, params=params), None)]
+        )
+        assert result == solve_swap_game(params, 2.0)
+
 
 class TestDefaultService:
     def test_shared_instance(self):

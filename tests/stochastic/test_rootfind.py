@@ -20,6 +20,7 @@ from repro.stochastic.rootfind import (
     bisect_roots,
     bracketed_root,
     grid_sign_change_brackets,
+    regions_between_roots,
 )
 
 
@@ -187,6 +188,72 @@ _ADVERSARIAL_LAWS = (
     "merton:jump_intensity=0.5,jump_mean=-0.3,jump_std=0.4",
     "regime:sigma_calm=0.01,sigma_turbulent=0.6",
 )
+
+
+class TestRegionsBetweenRoots:
+    """The root-to-region rule every solver shares."""
+
+    @staticmethod
+    def _rule(lo, hi, rows, roots, advantage):
+        calls = []
+
+        def recorded(piece_rows, mids):
+            calls.append((piece_rows.copy(), mids.copy()))
+            return advantage(piece_rows, mids)
+
+        out = regions_between_roots(lo, hi, rows, roots, recorded)
+        assert len(calls) == 1
+        return out, calls[0]
+
+    def test_rows_with_zero_one_and_three_roots(self):
+        # row 0: no root, positive; row 1: one root at 2, positive above;
+        # row 2: roots at 1, 2 and 4 of (x - 1)(x - 2)(x - 4)
+        def advantage(piece_rows, x):
+            return np.select(
+                [piece_rows == 0, piece_rows == 1],
+                [np.ones_like(x), x - 2.0],
+                (x - 1.0) * (x - 2.0) * (x - 4.0),
+            )
+
+        (rows, lo, hi), (piece_rows, mids) = self._rule(
+            [0.5, 0.5, 0.5], [8.0, 8.0, 8.0], [2, 1, 2, 2], [4.0, 2.0, 1.0, 2.0], advantage
+        )
+        assert piece_rows.tolist() == [0, 1, 1, 2, 2, 2, 2]
+        assert mids.tolist() == pytest.approx(
+            [2.0, 1.0, 4.0, math.sqrt(0.5), math.sqrt(2.0), math.sqrt(8.0), math.sqrt(32.0)]
+        )
+        assert rows.tolist() == [0, 1, 2, 2]
+        assert list(zip(lo.tolist(), hi.tolist())) == [
+            (0.5, 8.0), (2.0, 8.0), (1.0, 2.0), (4.0, 8.0)
+        ]
+
+    def test_zero_width_pieces_are_skipped(self):
+        # a root on the window's low end and a doubled root leave pieces
+        # of zero width, which are never evaluated
+        (rows, lo, hi), (piece_rows, mids) = self._rule(
+            [1.0], [9.0], [0, 0, 0], [1.0, 3.0, 3.0], lambda _rows, x: 3.0 - x
+        )
+        assert mids.tolist() == pytest.approx([math.sqrt(3.0), math.sqrt(27.0)])
+        assert (rows.tolist(), lo.tolist(), hi.tolist()) == ([0], [1.0], [3.0])
+
+    def test_negative_midpoints_are_dropped(self):
+        (rows, lo, hi), _ = self._rule(
+            [1.0, 1.0], [4.0, 4.0], [0], [2.0], lambda _rows, x: -np.ones_like(x)
+        )
+        assert rows.size == lo.size == hi.size == 0
+
+    def test_matches_the_scalar_region(self, params):
+        from repro.core.backward_induction import BackwardInduction
+
+        solver = BackwardInduction(params, 2.0)
+        region = solver.bob_t2_region()
+        rows, lo, hi = regions_between_roots(
+            [1e-3], [1e3], [0, 0], list(region.bounds()),
+            lambda _rows, x: solver.bob_t2_advantage(x),
+        )
+        assert (rows.tolist(), lo.tolist(), hi.tolist()) == (
+            [0], [region.bounds()[0]], [region.bounds()[1]]
+        )
 
 
 def _adversarial_draw(rng):
