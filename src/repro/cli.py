@@ -193,18 +193,18 @@ def _cmd_sweep(args: argparse.Namespace) -> object:
             raise ValueError("--surface and --legacy are mutually exclusive")
         from repro.service import SwapService
 
-        service = SwapService(surface=args.surface)
-        if service.surface is None:
-            raise ValueError(f"could not load surface artifact {args.surface}")
-        tolerance = args.tolerance
-        if tolerance is None:  # pointing at a surface opts in; use its default
-            tolerance = service.surface.spec.default_tolerance
-        items = service.sweep(
-            pstars,
-            params=params,
-            collateral=args.collateral,
-            tolerance=tolerance,
-        )
+        with SwapService(surface=args.surface) as service:
+            if service.surface is None:
+                raise ValueError(f"could not load surface artifact {args.surface}")
+            tolerance = args.tolerance
+            if tolerance is None:  # pointing at a surface opts in; use its default
+                tolerance = service.surface.spec.default_tolerance
+            items = service.sweep(
+                pstars,
+                params=params,
+                collateral=args.collateral,
+                tolerance=tolerance,
+            )
         rates = [float(item.unwrap().success_rate) for item in items]
         return {
             "pstars": pstars,
@@ -956,7 +956,7 @@ def _serve_batch(
     """
     from repro.service import SwapService, serve_lines
 
-    service = SwapService(
+    with SwapService(
         max_workers=workers,
         cache_dir=cache_dir,
         cache_entries=cache_entries,
@@ -964,8 +964,8 @@ def _serve_batch(
         faults=fault_plan,
         surface=surface,
         tolerance=tolerance,
-    )
-    return serve_lines(service, lines)
+    ) as service:
+        return serve_lines(service, lines)
 
 
 def _cmd_batch(args: argparse.Namespace) -> CommandOutcome:
@@ -1176,7 +1176,8 @@ def _dispatch(args: argparse.Namespace) -> CommandOutcome:
         from repro.analysis.experiments import render_markdown, run_all_experiments
         from repro.service import SwapService
 
-        results = run_all_experiments(service=SwapService(max_workers=args.workers))
+        with SwapService(max_workers=args.workers) as service:
+            results = run_all_experiments(service=service)
         text = render_markdown(results)
         text += f"\n\n{sum(r.holds for r in results)}/{len(results)} claims hold"
         return 0, text

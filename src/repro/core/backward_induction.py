@@ -132,9 +132,19 @@ class PayoffSchedule(NamedTuple):
 
         She reveals iff ``alice_claim * x + alice_deposit`` beats
         ``alice_refund``; a deposit that outweighs the refund makes it
-        zero (Eq. (34)).
+        zero (Eq. (34)). Raises ``ValueError`` when a discount factor
+        underflows so far that the threshold is not a finite number
+        (``r_a = 1000`` at Table III makes it 0/0) -- a solve that cannot
+        be answered, not an answer. One check covers a whole grid.
         """
-        return np.maximum(self.alice_refund - self.alice_deposit, 0.0) / self.alice_claim
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k = np.maximum(self.alice_refund - self.alice_deposit, 0.0) / self.alice_claim
+        if not np.isfinite(k).all():
+            raise ValueError(
+                "Alice's t3 threshold (Eq. 18) is not finite: her discounted "
+                "claim and refund under- or overflow at these parameters"
+            )
+        return k
 
     def alice_t2_cont(self, params: SwapParameters, x, pieces) -> Payoff:
         """Eq. (20): Alice's ``t2`` value when Bob locks at price ``x``.

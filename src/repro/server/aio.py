@@ -181,7 +181,10 @@ class _Reply(NamedTuple):
 
 
 def _json_reply(payload: object) -> _Reply:
-    return _Reply(200, json.dumps(payload, separators=(",", ":")).encode("utf-8"))
+    # NaN and infinity are not JSON (RFC 8259): such a payload raises,
+    # and the front end answers a typed 500 instead of invalid JSON
+    body = json.dumps(payload, separators=(",", ":"), allow_nan=False)
+    return _Reply(200, body.encode("utf-8"))
 
 
 def _error_reply(

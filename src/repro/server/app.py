@@ -283,6 +283,8 @@ def serve(
         stop.wait()
         return 0 if server.shutdown(drain=True) else 1
     finally:
+        if isinstance(server, SwapServer):
+            server.service.close()  # after the drain: no pooled job is owed
         for sig, handler in previous.items():
             try:
                 signal.signal(sig, handler)  # type: ignore[arg-type]

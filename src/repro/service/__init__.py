@@ -28,8 +28,8 @@ Quickstart::
 
     from repro.service import SwapService, SolveRequest
 
-    service = SwapService(max_workers=4, cache_dir="cache")
-    items = service.sweep([1.8, 2.0, 2.2])
+    with SwapService(max_workers=4, cache_dir="cache") as service:
+        items = service.sweep([1.8, 2.0, 2.2])
     for item in items:
         print(item.unwrap().success_rate)
 """

@@ -93,7 +93,8 @@ class SwapService:
     ----------
     max_workers:
         Size of the process pool; ``1`` (default) executes serially
-        in-process.
+        in-process. The pool forks once, at the first pooled map, and
+        lives until :meth:`close`.
     cache_size:
         Capacity of the in-memory LRU tier.
     cache_dir:
@@ -164,6 +165,18 @@ class SwapService:
             injector=self.faults,
             surface=self.surface,
         )
+
+    def close(self) -> None:
+        """Kill the worker pool's processes (idempotent); see
+        :meth:`WorkerPool.close`. ``with SwapService(...) as service:``
+        calls it on exit."""
+        self._pool.close()
+
+    def __enter__(self) -> "SwapService":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def _load_surface(self, surface):
         """Resolve the ``surface`` argument into a loaded Surface.

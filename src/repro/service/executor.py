@@ -7,23 +7,35 @@ object. :class:`WorkerPool` maps it over a batch:
 * ``max_workers <= 1`` degrades gracefully to a plain serial loop in
   the calling process (no pickling, no fork) -- the reference
   execution;
-* ``max_workers > 1`` uses a :class:`~concurrent.futures.ProcessPoolExecutor`
-  with a per-request timeout. A timeout fails *that request* with a
-  typed error; the rest of the batch completes. A serial call cannot
-  be preempted, so a timeout needs ``max_workers > 1``, and with one
-  set even a lone job goes through the pool.
+* ``max_workers > 1`` runs the jobs on a
+  :class:`~concurrent.futures.ProcessPoolExecutor` with a per-request
+  timeout. A timeout fails *that request* with a typed error; the rest
+  of the batch completes. A serial call cannot be preempted, so a
+  timeout needs ``max_workers > 1``, and with one set even a lone job
+  goes through the pool.
 
-Self-healing: a worker crash breaks the whole
-:class:`~concurrent.futures.ProcessPoolExecutor` -- every
-not-yet-returned future in the batch raises ``BrokenExecutor`` (and
-so does every later ``submit``), not just the request that killed the
-worker. Instead of cascading that one crash into a batch-wide
-failure, :meth:`WorkerPool.map` **rebuilds the pool and requeues the
-surviving requests**, each with a bounded
-retry budget (``max_requeues``); only a request that keeps breaking
-the pool surfaces :class:`WorkerCrashedError` (retryable). Rebuilds
-are counted in ``repro_pool_rebuilds_total`` and
+One executor per pool: it is forked at the first pooled map and every
+later map reuses it, concurrent maps from several threads included.
+:meth:`WorkerPool.close` kills its workers; a pool dropped without
+``close()`` is reaped by :mod:`concurrent.futures`, as every executor
+is at interpreter exit.
+
+Self-healing: a worker crash breaks the whole executor -- every
+not-yet-returned future on it raises ``BrokenExecutor``, in every map
+using it -- so the pool **replaces the executor and requeues the
+surviving requests**, each with a bounded retry budget
+(``max_requeues``); only a request that keeps breaking the pool
+surfaces :class:`WorkerCrashedError` (retryable). Replacement happens
+once per broken executor, however many maps saw it break, and is
+counted in ``repro_pool_rebuilds_total`` and
 ``repro_degraded_total{path="pool_rebuild"}``.
+
+Timeouts: a timed-out request's executor is *retired* -- later submits
+go to a fresh one -- and its workers, the hung one among them, are
+killed as soon as no map has jobs on it any more; for a map that has
+the executor to itself, before it returns. Other maps' jobs on the
+retired executor finish there, so one map's timeout never fails
+another map's request.
 
 Determinism: a validation request's RNG seed is resolved *before*
 dispatch -- the explicit ``seed`` if given, else
@@ -50,6 +62,7 @@ and the ``repro_pool_workers`` / ``repro_pool_inflight`` gauges.
 from __future__ import annotations
 
 import os
+import threading
 import time
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
@@ -232,8 +245,44 @@ def _outcome_label(outcome: Union[Result, ServiceError]) -> str:
     return "ok"
 
 
+class _Executor:
+    """One :class:`ProcessPoolExecutor` and the maps holding jobs on it.
+
+    ``retired`` executors take no new maps; the last map to leave one
+    kills its workers.
+    """
+
+    __slots__ = ("pool", "users", "retired")
+
+    def __init__(self, pool: ProcessPoolExecutor) -> None:
+        self.pool = pool
+        self.users = 0
+        self.retired = False
+
+
+def _kill(pool: ProcessPoolExecutor) -> None:
+    """Kill ``pool``'s workers, busy or idle, and reap them.
+
+    ``ProcessPoolExecutor`` has no public way to kill a worker (before
+    Python 3.14), so this reads its private ``_processes`` map; an
+    executor without one (a test stand-in) is only shut down.
+    """
+    for process in list((getattr(pool, "_processes", None) or {}).values()):
+        process.kill()
+    # the killed workers break the executor, so this returns at once
+    pool.shutdown(wait=True)
+
+
 class WorkerPool:
     """Map :func:`execute_request` over jobs, serially or in processes.
+
+    A pool with ``max_workers > 1`` owns one
+    :class:`ProcessPoolExecutor` for its whole life: created at the
+    first pooled map, reused by every later one (from any thread), and
+    replaced only when a worker crash breaks it or a timeout retires
+    it. :meth:`close` (also the end of a ``with`` block) kills its
+    workers; it is idempotent, and a closed pool answers pooled jobs
+    with :class:`WorkerCrashedError`.
 
     Parameters
     ----------
@@ -244,9 +293,9 @@ class WorkerPool:
         Per-request wall-clock budget in seconds (``None``: no limit).
         Needs ``max_workers > 1``, since a serial call cannot be
         preempted; every map then runs in the pool, a lone job too. A
-        timed-out request yields a :class:`RequestTimeoutError`, its
-        worker is abandoned and the pool keeps serving the remaining
-        futures.
+        timed-out request yields a :class:`RequestTimeoutError`; its
+        executor is retired, and its workers are killed once no map has
+        jobs left on it.
     faults:
         Optional chaos hook (``None``, an
         :class:`~repro.faults.plan.InjectionPlan`, or an injector);
@@ -278,6 +327,33 @@ class WorkerPool:
         self.injector = build_injector(faults)
         self._metrics = _PoolMetrics()
         self._metrics.workers.set(self.max_workers)
+        # guards every field below: creation, retirement, the user counts
+        self._lock = threading.Lock()
+        self._current: Optional[_Executor] = None
+        self._retired: List[_Executor] = []  # still holding some map's jobs
+        self._closed = False
+
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Kill every worker, idle or running an abandoned job.
+
+        Idempotent. Maps still in flight see their jobs fail as a
+        closed pool's :class:`WorkerCrashedError`.
+        """
+        with self._lock:
+            self._closed = True
+            doomed = self._retired + ([self._current] if self._current else [])
+            self._current = None
+            self._retired = []
+            for executor in doomed:
+                executor.retired = True
+        for executor in doomed:
+            _kill(executor.pool)
 
     def map(
         self, jobs: Sequence[Tuple[Request, Optional[int]]]
@@ -319,80 +395,126 @@ class WorkerPool:
             return ("hang", delay)
         return None
 
+    def _acquire(self) -> Optional[_Executor]:
+        """The current executor, created if there is none, with this
+        map counted as its user; ``None`` once the pool is closed."""
+        with self._lock:
+            if self._closed:
+                return None
+            if self._current is None:
+                self._current = _Executor(
+                    ProcessPoolExecutor(max_workers=self.max_workers)
+                )
+            self._current.users += 1
+            return self._current
+
+    def _retire(self, executor: _Executor, broken: bool) -> None:
+        """Send later maps to a fresh executor instead of ``executor``.
+
+        Only the executor the caller saw fail is replaced, so maps that
+        see one crash count one rebuild between them.
+        """
+        with self._lock:
+            if executor.retired:
+                return
+            executor.retired = True
+            self._retired.append(executor)
+            if self._current is executor:
+                self._current = None
+                if broken:
+                    self._metrics.rebuilds.inc()
+                    self._metrics.degraded.inc(path="pool_rebuild")
+
+    def _release(self, executor: _Executor) -> None:
+        """This map is done with ``executor``; the last map to leave a
+        retired one kills its workers."""
+        with self._lock:
+            executor.users -= 1
+            # close() empties the list: what it killed is not killed twice
+            doomed = executor.users == 0 and executor in self._retired
+            if doomed:
+                self._retired.remove(executor)
+        if doomed:
+            _kill(executor.pool)
+
     def _run_pooled(
         self, jobs: Sequence[Tuple[Request, Optional[int]]]
     ) -> List[Union[Result, ServiceError]]:
         out: List[Union[Result, ServiceError]] = [None] * len(jobs)  # type: ignore[list-item]
         attempts: Dict[int, int] = {}
         pending = list(range(len(jobs)))
-        pool = ProcessPoolExecutor(max_workers=self.max_workers)
-        timed_out = False
-        try:
-            while pending:
-                submitted = time.perf_counter()
-                futures = {index: self._submit(pool, jobs[index]) for index in pending}
-                requeue: List[int] = []
-                broken = False
-                for index, future in futures.items():
-                    try:
-                        outcome, task_s = future.result(timeout=self.timeout)
-                        out[index] = outcome
-                        wall = time.perf_counter() - submitted
-                        self._metrics.record(
-                            _outcome_label(outcome), task_s, wall - task_s
-                        )
-                    except FutureTimeoutError:
-                        future.cancel()
-                        timed_out = True
-                        out[index] = RequestTimeoutError(
-                            f"request exceeded {self.timeout:g}s"
-                        )
-                        self._metrics.record("timeout", float(self.timeout), 0.0)
-                    except BrokenExecutor as exc:
-                        # the pool is dead for *every* pending future;
-                        # requeue survivors onto a rebuilt pool instead
-                        # of cascading one crash into batch-wide failure
-                        broken = True
-                        attempts[index] = attempts.get(index, 0) + 1
-                        if attempts[index] <= self.max_requeues:
-                            requeue.append(index)
-                        else:
-                            detail = str(exc) or "worker pool broke"
-                            out[index] = WorkerCrashedError(
-                                f"request kept breaking the pool "
-                                f"({attempts[index]} attempts): {detail}"
-                            )
-                            self._metrics.tasks.inc(outcome="crashed")
-                    except Exception as exc:  # unpicklable result, BrokenPipe, ...
-                        out[index] = WorkerCrashedError(
-                            f"{exc.__class__.__name__}: {exc}"
-                        )
-                        self._metrics.tasks.inc(outcome="crashed")
-                pending = requeue
-                if broken:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    if pending:
-                        pool = ProcessPoolExecutor(max_workers=self.max_workers)
-                    self._metrics.rebuilds.inc()
-                    self._metrics.degraded.inc(path="pool_rebuild")
-        finally:
-            # after a timeout, don't block shutdown on the abandoned
-            # worker; it is orphaned and reaped at interpreter exit
-            pool.shutdown(wait=not timed_out, cancel_futures=timed_out)
+        while pending:
+            executor = self._acquire()
+            if executor is None:
+                for index in pending:
+                    out[index] = WorkerCrashedError("the worker pool is closed")
+                    self._metrics.tasks.inc(outcome="crashed")
+                break
+            try:
+                pending = self._run_round(executor, jobs, pending, out, attempts)
+            finally:
+                self._release(executor)
         return out
+
+    def _run_round(
+        self,
+        executor: _Executor,
+        jobs: Sequence[Tuple[Request, Optional[int]]],
+        pending: List[int],
+        out: List[Union[Result, ServiceError]],
+        attempts: Dict[int, int],
+    ) -> List[int]:
+        """Submit ``pending`` to ``executor`` and settle ``out``; the
+        indices to requeue after a break."""
+        submitted = time.perf_counter()
+        futures = {index: self._submit(executor.pool, jobs[index]) for index in pending}
+        requeue: List[int] = []
+        for index, future in futures.items():
+            try:
+                outcome, task_s = future.result(timeout=self.timeout)
+                out[index] = outcome
+                wall = time.perf_counter() - submitted
+                self._metrics.record(_outcome_label(outcome), task_s, wall - task_s)
+            except FutureTimeoutError:
+                future.cancel()
+                self._retire(executor, broken=False)
+                out[index] = RequestTimeoutError(f"request exceeded {self.timeout:g}s")
+                self._metrics.record("timeout", float(self.timeout), 0.0)
+            except BrokenExecutor as exc:
+                # the executor is dead for *every* pending future;
+                # requeue survivors onto a fresh one instead of
+                # cascading one crash into batch-wide failure
+                self._retire(executor, broken=True)
+                attempts[index] = attempts.get(index, 0) + 1
+                if attempts[index] <= self.max_requeues:
+                    requeue.append(index)
+                else:
+                    detail = str(exc) or "worker pool broke"
+                    out[index] = WorkerCrashedError(
+                        f"request kept breaking the pool "
+                        f"({attempts[index]} attempts): {detail}"
+                    )
+                    self._metrics.tasks.inc(outcome="crashed")
+            except Exception as exc:  # unpicklable result, BrokenPipe, ...
+                out[index] = WorkerCrashedError(f"{exc.__class__.__name__}: {exc}")
+                self._metrics.tasks.inc(outcome="crashed")
+        return requeue
 
     def _submit(
         self, pool: ProcessPoolExecutor, job: Tuple[Request, Optional[int]]
     ) -> Future:
-        """``pool.submit`` of one job; a pool that an earlier job of the
-        same round already broke yields a failed future instead of
-        raising, so the job is requeued like any other broken one."""
+        """``pool.submit`` of one job; a pool that an earlier job (of
+        this map or another) already broke, or that :meth:`close` shut
+        down meanwhile, yields a failed future instead of raising, so
+        the job is requeued like any other broken one."""
         fault = self._job_fault(job[0])
         try:
             return pool.submit(_timed_execute, *job, fault)
-        except BrokenExecutor as exc:
+        except (BrokenExecutor, RuntimeError) as exc:  # RuntimeError: shut down
             future: Future = Future()
-            future.set_exception(exc)
+            future.set_exception(
+                exc if isinstance(exc, BrokenExecutor) else BrokenExecutor(str(exc))
+            )
             return future
 
     def _run_serial(

@@ -133,7 +133,10 @@ def expectation_on_intervals(
     x = np.exp(y)
     phi = law.logspace_density(y)
     values = phi * np.asarray(g(x), dtype=float)
-    out = 0.5 * (b[:, 0] - a[:, 0]) * (values @ weights)
+    # an elementwise product and a row sum: unlike ``values @ weights``,
+    # whose BLAS accumulation order depends on the batch size, each row
+    # sums the same way however many rows share the call
+    out = 0.5 * (b[:, 0] - a[:, 0]) * (values * weights).sum(axis=-1)
     return np.where(active, out, 0.0)
 
 

@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -128,6 +133,42 @@ class TestBatchCommand:
         assert main(["batch", path, "--workers", "2"]) == 0
         parallel = _result_lines(capsys)
         assert [r["result"] for r in serial] == [r["result"] for r in parallel]
+
+
+class TestHungWorker:
+    def test_a_hung_worker_does_not_hold_the_exit(self, tmp_path):
+        # the hung line answers `timeout` at 1 s; the process must exit
+        # then too, not when the 20 s stall ends
+        import repro
+
+        plan = tmp_path / "hang.json"
+        plan.write_text(
+            json.dumps(
+                {"seed": 0, "faults": [{"kind": "worker_hang", "delay": 20.0, "count": 1}]}
+            )
+        )
+        path = _write_requests(
+            tmp_path,
+            [
+                '{"kind": "solve", "pstar": 2.0}',
+                '{"kind": "solve", "pstar": 2.0, "collateral": 0.5}',
+                '{"kind": "validate", "pstar": 2.0, "n_paths": 2000, "seed": 42}',
+            ],
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        command = [sys.executable, "-m", "repro.cli", "batch", path, "--workers", "2"]
+        command += ["--timeout", "1", "--fault-plan", str(plan)]
+        started = time.perf_counter()
+        done = subprocess.run(
+            command, capture_output=True, text=True, timeout=60, env=env
+        )
+        elapsed = time.perf_counter() - started
+        assert done.returncode == 0, done.stderr
+        records = [json.loads(line) for line in done.stdout.splitlines()]
+        assert records[0]["error"]["code"] == "timeout"
+        assert all(record["ok"] for record in records[1:])
+        assert elapsed < 10.0
 
 
 class TestHardening:

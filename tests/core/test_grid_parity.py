@@ -214,3 +214,33 @@ class TestFeasibilityBoundary:
         points = success_rate_curve(params, [lo + eps, hi - eps])
         assert points[0].feasible
         assert points[1].feasible
+
+
+class TestOneAnswerPerPoint:
+    """A point's engine answer does not depend on which other points
+    share its grid, so the answer cached under its key is the one it
+    gets alone."""
+
+    @pytest.mark.parametrize(
+        "law",
+        [
+            None,
+            "merton:jump_intensity=0.2,jump_mean=-0.1,jump_std=0.15",
+            "regime:sigma_turbulent=0.3",
+        ],
+    )
+    @pytest.mark.parametrize("collateral", [0.0, 0.5])
+    def test_grid_equals_each_point_alone(self, law, collateral):
+        from repro.stochastic.law import parse_law
+
+        params = SwapParameters.default()
+        if law is not None:
+            params = params.replace(law=parse_law(law))
+        pstars = np.linspace(1.55, 2.45, 8)
+        grid = solve_grid(params, pstars, collateral=collateral)
+        for i, pstar in enumerate(pstars):
+            alone = solve_grid(params, [pstar], collateral=collateral)
+            assert grid.success_rate[i] == alone.success_rate[0]
+            assert grid.alice_t1_cont[i] == alone.alice_t1_cont[0]
+            assert grid.bob_t1_cont[i] == alone.bob_t1_cont[0]
+            assert grid.t2_regions[i] == alone.t2_regions[0]

@@ -222,8 +222,6 @@ class TestT1Values:
             assert sr[0] == pytest.approx(region.probability(law), rel=1e-14)
 
     def test_two_rows_are_two_one_row_calls(self, params):
-        # equal up to the rounding of the quadrature's dot product, whose
-        # BLAS accumulation order depends on the batch size
         pstars = np.array([1.8, 2.4])
         both = basic_schedule(params, pstars)
         regions = [BackwardInduction(params, k).bob_t2_region() for k in pstars]
@@ -235,6 +233,27 @@ class TestT1Values:
             one = basic_schedule(params, float(pstar))
             (a, b), = regions[i].intervals
             single = self._stage(params, one, one.p3_threshold(), [0], [a], [b])
-            assert [v[i] for v in batched] == pytest.approx(
-                [v[0] for v in single], rel=1e-14
-            )
+            assert [v[i] for v in batched] == [v[0] for v in single]
+
+
+class TestNonFiniteThreshold:
+    """A threshold that under- or overflows is an error, not an answer."""
+
+    def test_scalar_solvers_raise(self, params):
+        from repro.core.collateral import solve_collateral_game
+        from repro.core.solver import solve_swap_game
+
+        bad = params.replace(r_a=1000.0)
+        with pytest.raises(ValueError, match="not finite"):
+            basic_schedule(bad, 2.0).p3_threshold()
+        with pytest.raises(ValueError, match="not finite"):
+            solve_swap_game(bad, 2.0)
+        with pytest.raises(ValueError, match="not finite"):
+            solve_collateral_game(bad, 2.0, 0.5)
+
+    def test_one_array_check_per_grid(self, params):
+        bad = params.replace(r_a=1000.0)
+        with pytest.raises(ValueError, match="not finite"):
+            basic_schedule(bad, np.array([1.5, 2.0, 2.5])).p3_threshold()
+        with pytest.raises(ValueError, match="not finite"):
+            solve_grid(bad, [1.5, 2.0, 2.5], collateral=0.5)

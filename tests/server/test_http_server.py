@@ -50,6 +50,32 @@ class TestSolveValidate:
         assert body["key"].startswith(f"v{KEY_VERSION}-")
         assert body["result"]["kind"] == "swap_equilibrium"
 
+    def test_no_nan_on_the_wire(self, make_server):
+        # Eq. 18's threshold is 0/0 at r_a = 1000: a typed solve_failed
+        # in strict JSON (RFC 8259 has no NaN), not a 200 holding NaN
+        server = make_server()
+        status, raw = _post_raw(
+            server, "/v1/solve", b'{"pstar": 2.0, "params": {"r_a": 1000}}'
+        )
+        assert status == 500
+
+        def no_constants(name):
+            raise AssertionError(f"{name} is not JSON")
+
+        body = json.loads(raw, parse_constant=no_constants)
+        assert body["error"]["code"] == "solve_failed"
+
+    def test_replies_refuse_non_finite_numbers(self):
+        import math
+
+        import pytest
+
+        from repro.server.aio import _json_reply
+
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                _json_reply({"p3_threshold": bad})
+
     def test_kind_mismatch_rejected(self, make_server):
         server = make_server()
         status, raw = _post_raw(

@@ -272,3 +272,50 @@ class TestPoolTimeout:
 class TestDefaultService:
     def test_shared_instance(self):
         assert default_service() is default_service()
+
+
+class TestNonFiniteThreshold:
+    """At ``r_a = 1000`` Alice's discounted claim and refund underflow
+    to 0, so Eq. 18's threshold is 0/0: every path answers a typed
+    ``solve_failed``, and nothing is cached under the key."""
+
+    PARAMS = {"r_a": 1000}
+
+    def _requests(self, *pstars, **fields):
+        from repro.service.requests import parse_request
+
+        return [
+            parse_request({"pstar": p, "params": self.PARAMS, **fields})
+            for p in pstars
+        ]
+
+    def _assert_typed_and_uncached(self, service, requests):
+        for _ in range(2):  # a second call must not find a cached answer
+            items = service.run_batch(requests)
+            for item in items:
+                assert not item.ok
+                assert item.error.code == "solve_failed"
+                assert "not finite" in item.error.message
+                assert not item.cached
+        assert service.stats()["memory"]["puts"] == 0
+
+    def test_a_single_solve(self):
+        service = SwapService()
+        self._assert_typed_and_uncached(service, self._requests(2.0, kind="solve"))
+        self._assert_typed_and_uncached(
+            service, self._requests(2.0, kind="solve", collateral=0.5)
+        )
+
+    def test_an_engine_group(self):
+        from repro.core.engine import solve_grid
+
+        requests = self._requests(1.5, 1.6, 1.7, kind="solve")
+        with pytest.raises(ValueError, match="not finite"):
+            solve_grid(requests[0].params, [1.5, 1.6, 1.7])
+        self._assert_typed_and_uncached(SwapService(), requests)
+
+    def test_a_validation(self):
+        service = SwapService()
+        self._assert_typed_and_uncached(
+            service, self._requests(2.0, kind="validate", n_paths=100)
+        )
