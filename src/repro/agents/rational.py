@@ -13,7 +13,8 @@ from typing import Tuple
 
 from repro.agents.base import SwapAgent
 from repro.core.backward_induction import BackwardInduction
-from repro.core.collateral import CollateralBackwardInduction
+from repro.core.collateral import CollateralBackwardInduction, CollateralEquilibrium
+from repro.core.equilibrium import SwapEquilibrium
 from repro.core.parameters import SwapParameters
 from repro.core.strategy import Action, AliceStrategy, BobStrategy
 from repro.protocol.messages import DecisionContext
@@ -72,8 +73,10 @@ def rational_pair(
 
 
 def pair_from_solver(solver: BackwardInduction) -> Tuple[RationalAlice, RationalBob]:
-    """The agent pair playing ``solver``'s equilibrium strategies."""
-    alice = AliceStrategy(
-        initiate_at_t1=solver.alice_initiates(), p3_threshold=solver.p3_threshold()
-    )
-    return RationalAlice(alice), RationalBob(BobStrategy(t2_region=solver.bob_t2_region()))
+    """The agent pair playing ``solver``'s equilibrium strategies: those
+    of the record of its own mechanism."""
+    if isinstance(solver, CollateralBackwardInduction):
+        game = CollateralEquilibrium.from_solver(solver)
+    else:
+        game = SwapEquilibrium.from_solver(solver)
+    return RationalAlice(game.alice_strategy), RationalBob(game.bob_strategy)

@@ -134,10 +134,13 @@ class PayoffSchedule(NamedTuple):
         ``alice_refund``; a deposit that outweighs the refund makes it
         zero (Eq. (34)). Raises ``ValueError`` when a discount factor
         underflows so far that the threshold is not a finite number
-        (``r_a = 1000`` at Table III makes it 0/0) -- a solve that cannot
-        be answered, not an answer. One check covers a whole grid.
+        (``r_a = 1000`` at Table III makes it 0/0; ``mu = -183`` makes
+        the claim subnormal, and the quotient overflows at ``P* = 2``)
+        -- a solve that cannot be answered, not an answer. The refusal
+        is the error alone, with no numeric warning before it. One check
+        covers a whole grid.
         """
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             k = np.maximum(self.alice_refund - self.alice_deposit, 0.0) / self.alice_claim
         if not np.isfinite(k).all():
             raise ValueError(

@@ -26,6 +26,7 @@ is reproduced exactly (property-tested).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Tuple
@@ -35,9 +36,9 @@ from repro.core.backward_induction import (
     PayoffSchedule,
     collateral_schedule,
 )
-from repro.core.equilibrium import StageUtilities
+from repro.core.equilibrium import SolvedGame, StageUtilities
 from repro.core.parameters import SwapParameters
-from repro.core.strategy import AliceStrategy, BobStrategy
+from repro.core.solver import observe_solver
 from repro.stochastic.rootfind import IntervalUnion
 
 __all__ = [
@@ -78,8 +79,14 @@ class CollateralBackwardInduction(BackwardInduction):
 
 
 @dataclass(frozen=True)
-class CollateralEquilibrium:
-    """Solved collateralised game (Section IV analogue of SwapEquilibrium)."""
+class CollateralEquilibrium(SolvedGame):
+    """Solved collateralised game (Section IV analogue of SwapEquilibrium).
+
+    Stores what :class:`CollateralBackwardInduction` found, with the
+    deposit ``collateral`` after ``pstar``. Both agents' ``t1`` decisions
+    (``alice_engages``, ``bob_engages``) and strategies are derived
+    (:class:`~repro.core.equilibrium.SolvedGame`).
+    """
 
     params: SwapParameters
     pstar: float
@@ -89,10 +96,6 @@ class CollateralEquilibrium:
     alice_t1: StageUtilities
     bob_t1: StageUtilities
     success_rate: float
-    alice_engages: bool
-    bob_engages: bool
-    alice_strategy: AliceStrategy
-    bob_strategy: BobStrategy
 
     @property
     def engaged(self) -> bool:
@@ -113,31 +116,9 @@ def solve_collateral_game(
     params: SwapParameters, pstar: float, collateral: float
 ) -> CollateralEquilibrium:
     """Solve the Section IV game at a fixed rate and deposit."""
-    import time
-
-    from repro.core.solver import observe_solver
-
     started = time.perf_counter()
-    solver = CollateralBackwardInduction(params, pstar, collateral)
-    region = solver.bob_t2_region()
-    alice_t1 = StageUtilities(cont=solver.alice_t1_cont(), stop=solver.alice_t1_stop())
-    bob_t1 = StageUtilities(cont=solver.bob_t1_cont(), stop=solver.bob_t1_stop())
-    alice_engages = alice_t1.advantage > 0.0
-    equilibrium = CollateralEquilibrium(
-        params=params,
-        pstar=float(pstar),
-        collateral=float(collateral),
-        p3_threshold=solver.p3_threshold(),
-        bob_t2_region=region,
-        alice_t1=alice_t1,
-        bob_t1=bob_t1,
-        success_rate=solver.success_rate(),
-        alice_engages=alice_engages,
-        bob_engages=bob_t1.advantage > 0.0,
-        alice_strategy=AliceStrategy(
-            initiate_at_t1=alice_engages, p3_threshold=solver.p3_threshold()
-        ),
-        bob_strategy=BobStrategy(t2_region=region),
+    equilibrium = CollateralEquilibrium.from_solver(
+        CollateralBackwardInduction(params, pstar, collateral)
     )
     observe_solver("collateral", time.perf_counter() - started)
     return equilibrium
@@ -147,9 +128,7 @@ def collateral_success_rate(
     params: SwapParameters, pstar: float, collateral: float
 ) -> float:
     """Eq. (40): success rate of an initiated collateralised swap."""
-    from repro.core.engine import solve_grid
-
-    return float(solve_grid(params, [pstar], collateral=collateral).success_rate[0])
+    return CollateralBackwardInduction(params, pstar, collateral).success_rate()
 
 
 def feasible_pstar_region_with_collateral(

@@ -66,9 +66,9 @@ from repro.core.backward_induction import (
     collateral_schedule,
     scan_window,
 )
+from repro.core.collateral import CollateralEquilibrium
 from repro.core.equilibrium import StageUtilities, SwapEquilibrium
 from repro.core.parameters import SwapParameters
-from repro.core.strategy import AliceStrategy, BobStrategy
 from repro.obs.metrics import get_registry
 from repro.stochastic.law import observe_law, step_kernel
 from repro.stochastic.quadrature import DEFAULT_QUAD_ORDER
@@ -145,52 +145,28 @@ class EquilibriumGrid:
         """The classic per-point result object for grid index ``i``.
 
         Returns a :class:`SwapEquilibrium` when the grid was solved
-        without collateral and a ``CollateralEquilibrium`` otherwise --
-        the same types (and tie-breaking conventions) the scalar
+        without collateral and a
+        :class:`~repro.core.collateral.CollateralEquilibrium` otherwise
+        -- the same types (and tie-breaking conventions) the scalar
         :func:`~repro.core.solver.solve_swap_game` /
         :func:`~repro.core.collateral.solve_collateral_game` produce.
         """
-        alice_t1 = StageUtilities(
-            cont=float(self.alice_t1_cont[i]), stop=float(self.alice_t1_stop[i])
-        )
-        bob_t1 = StageUtilities(
-            cont=float(self.bob_t1_cont[i]), stop=float(self.bob_t1_stop[i])
-        )
-        initiated = alice_t1.advantage > 0.0
-        region = self.t2_regions[i]
-        alice_strategy = AliceStrategy(
-            initiate_at_t1=initiated, p3_threshold=float(self.p3_threshold[i])
-        )
-        bob_strategy = BobStrategy(t2_region=region)
-        if self.collateral > 0.0:
-            from repro.core.collateral import CollateralEquilibrium
-
-            return CollateralEquilibrium(
-                params=self.params,
-                pstar=float(self.pstars[i]),
-                collateral=self.collateral,
-                p3_threshold=float(self.p3_threshold[i]),
-                bob_t2_region=region,
-                alice_t1=alice_t1,
-                bob_t1=bob_t1,
-                success_rate=float(self.success_rate[i]),
-                alice_engages=initiated,
-                bob_engages=bob_t1.advantage > 0.0,
-                alice_strategy=alice_strategy,
-                bob_strategy=bob_strategy,
-            )
-        return SwapEquilibrium(
+        solved = dict(
             params=self.params,
             pstar=float(self.pstars[i]),
             p3_threshold=float(self.p3_threshold[i]),
-            bob_t2_region=region,
-            alice_t1=alice_t1,
-            bob_t1=bob_t1,
+            bob_t2_region=self.t2_regions[i],
+            alice_t1=StageUtilities(
+                cont=float(self.alice_t1_cont[i]), stop=float(self.alice_t1_stop[i])
+            ),
+            bob_t1=StageUtilities(
+                cont=float(self.bob_t1_cont[i]), stop=float(self.bob_t1_stop[i])
+            ),
             success_rate=float(self.success_rate[i]),
-            initiated=initiated,
-            alice_strategy=alice_strategy,
-            bob_strategy=bob_strategy,
         )
+        if self.collateral > 0.0:
+            return CollateralEquilibrium(collateral=self.collateral, **solved)
+        return SwapEquilibrium(**solved)
 
 
 class GridSolver:

@@ -1,22 +1,26 @@
 """A complete solved description of one swap game.
 
-:class:`SwapEquilibrium` is the result object of
-:func:`repro.core.solver.solve_swap_game`: thresholds, continuation
-regions, stage utilities at the initial price, the success rate, and
-the derived strategies -- everything the paper's Figures 3-6 read off
-the model, in one immutable record.
+A solved game is a handful of numbers: Alice's reveal threshold
+(Eq. (18)), Bob's ``t2`` continuation region (Eq. (24)), both agents'
+``t1`` stage utilities at the initial price (Eqs. (25)-(28)) and the
+success rate (Eq. (31)). :class:`SwapEquilibrium` -- the result object
+of :func:`repro.core.solver.solve_swap_game` -- stores exactly those,
+with the game's ``params`` and ``pstar``; the Section IV and premium
+records add their stake. Every decision and strategy follows from the
+stored numbers and is derived once, in :class:`SolvedGame`, which also
+builds a record from a solver.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
 from repro.core.parameters import SwapParameters
 from repro.core.strategy import AliceStrategy, BobStrategy
 from repro.stochastic.rootfind import IntervalUnion
 
-__all__ = ["INDIFFERENT_ACTION", "StageUtilities", "SwapEquilibrium"]
+__all__ = ["INDIFFERENT_ACTION", "SolvedGame", "StageUtilities", "SwapEquilibrium"]
 
 
 #: The canonical indifference convention, applied everywhere a
@@ -54,8 +58,65 @@ class StageUtilities:
         return self.cont == self.stop
 
 
+class SolvedGame:
+    """What every solved-game record derives from what it stores.
+
+    A record (:class:`SwapEquilibrium`,
+    :class:`~repro.core.collateral.CollateralEquilibrium`,
+    :class:`~repro.core.premium.PremiumEquilibrium`) is a frozen
+    dataclass of what its solver found: ``params``, ``pstar``, the
+    mechanism's stake (if any), ``p3_threshold``, ``bob_t2_region``,
+    ``alice_t1``, ``bob_t1`` and ``success_rate``, in that order, which
+    is also the order of its wire keys. The ``t1`` decisions and both
+    strategies are the read-only properties below, and
+    :meth:`from_solver` is the one way a solver becomes a record.
+    """
+
+    @classmethod
+    def from_solver(cls, solver):
+        """The record of ``solver``'s equilibrium.
+
+        ``solver`` is a :class:`~repro.core.backward_induction.BackwardInduction`
+        of the record's mechanism; a stake field (``collateral``,
+        ``premium``) is read off it under the same name.
+        """
+        solved = {
+            "params": solver.params,
+            "pstar": solver.pstar,
+            "p3_threshold": solver.p3_threshold(),
+            "bob_t2_region": solver.bob_t2_region(),
+            "alice_t1": StageUtilities(
+                cont=solver.alice_t1_cont(), stop=solver.alice_t1_stop()
+            ),
+            "bob_t1": StageUtilities(cont=solver.bob_t1_cont(), stop=solver.bob_t1_stop()),
+            "success_rate": solver.success_rate(),
+        }
+        stake = {f.name: getattr(solver, f.name) for f in fields(cls) if f.name not in solved}
+        return cls(**solved, **stake)
+
+    @property
+    def alice_engages(self) -> bool:
+        """Alice's ``t1`` decision (Eq. (30)): continuing strictly beats stopping."""
+        return self.alice_t1.advantage > 0.0
+
+    @property
+    def bob_engages(self) -> bool:
+        """Bob's ``t1`` decision: continuing strictly beats keeping his token."""
+        return self.bob_t1.advantage > 0.0
+
+    @property
+    def alice_strategy(self) -> AliceStrategy:
+        """Alice's policy: her ``t1`` decision and reveal threshold."""
+        return AliceStrategy(initiate_at_t1=self.alice_engages, p3_threshold=self.p3_threshold)
+
+    @property
+    def bob_strategy(self) -> BobStrategy:
+        """Bob's policy: lock inside his ``t2`` region."""
+        return BobStrategy(t2_region=self.bob_t2_region)
+
+
 @dataclass(frozen=True)
-class SwapEquilibrium:
+class SwapEquilibrium(SolvedGame):
     """Solved swap game at a fixed exchange rate.
 
     Attributes
@@ -71,10 +132,10 @@ class SwapEquilibrium:
         ``P_{t1} = p0``.
     success_rate:
         Eq. (31), conditional on initiation.
-    initiated:
-        Whether Alice initiates at ``t1`` (Eq. (30)).
-    alice_strategy, bob_strategy:
-        Executable equilibrium policies.
+
+    Derived (:class:`SolvedGame`): ``initiated``, whether Alice
+    initiates at ``t1`` (Eq. (30)), and the executable policies
+    ``alice_strategy`` and ``bob_strategy``.
     """
 
     params: SwapParameters
@@ -84,9 +145,9 @@ class SwapEquilibrium:
     alice_t1: StageUtilities
     bob_t1: StageUtilities
     success_rate: float
-    initiated: bool
-    alice_strategy: AliceStrategy
-    bob_strategy: BobStrategy
+
+    #: Alice's ``t1`` decision, under the basic game's name.
+    initiated = SolvedGame.alice_engages
 
     @property
     def bob_t2_bounds(self) -> Optional[Tuple[float, float]]:

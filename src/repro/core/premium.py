@@ -30,6 +30,7 @@ field for field, so it reproduces the basic model exactly.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -38,9 +39,9 @@ from repro.core.backward_induction import (
     PayoffSchedule,
     basic_schedule,
 )
-from repro.core.equilibrium import StageUtilities
+from repro.core.equilibrium import SolvedGame, StageUtilities
 from repro.core.parameters import SwapParameters
-from repro.core.strategy import AliceStrategy, BobStrategy
+from repro.core.solver import observe_solver
 from repro.stochastic.rootfind import IntervalUnion
 
 __all__ = [
@@ -89,8 +90,13 @@ class PremiumBackwardInduction(BackwardInduction):
 
 
 @dataclass(frozen=True)
-class PremiumEquilibrium:
-    """Solved premium game."""
+class PremiumEquilibrium(SolvedGame):
+    """Solved premium game.
+
+    Stores what :class:`PremiumBackwardInduction` found, with the
+    premium ``W`` after ``pstar``; ``initiated`` and the strategies are
+    derived (:class:`~repro.core.equilibrium.SolvedGame`).
+    """
 
     params: SwapParameters
     pstar: float
@@ -100,9 +106,9 @@ class PremiumEquilibrium:
     alice_t1: StageUtilities
     bob_t1: StageUtilities
     success_rate: float
-    initiated: bool
-    alice_strategy: AliceStrategy
-    bob_strategy: BobStrategy
+
+    #: Alice's ``t1`` decision, under the basic game's name.
+    initiated = SolvedGame.alice_engages
 
     @property
     def unconditional_success_rate(self) -> float:
@@ -114,30 +120,9 @@ def solve_premium_game(
     params: SwapParameters, pstar: float, premium: float
 ) -> PremiumEquilibrium:
     """Solve the premium-mechanism game at a fixed rate and premium."""
-    import time
-
-    from repro.core.solver import observe_solver
-
     started = time.perf_counter()
-    solver = PremiumBackwardInduction(params, pstar, premium)
-    region = solver.bob_t2_region()
-    alice_t1 = StageUtilities(cont=solver.alice_t1_cont(), stop=solver.alice_t1_stop())
-    bob_t1 = StageUtilities(cont=solver.bob_t1_cont(), stop=solver.bob_t1_stop())
-    initiated = alice_t1.advantage > 0.0
-    equilibrium = PremiumEquilibrium(
-        params=params,
-        pstar=float(pstar),
-        premium=float(premium),
-        p3_threshold=solver.p3_threshold(),
-        bob_t2_region=region,
-        alice_t1=alice_t1,
-        bob_t1=bob_t1,
-        success_rate=solver.success_rate(),
-        initiated=initiated,
-        alice_strategy=AliceStrategy(
-            initiate_at_t1=initiated, p3_threshold=solver.p3_threshold()
-        ),
-        bob_strategy=BobStrategy(t2_region=region),
+    equilibrium = PremiumEquilibrium.from_solver(
+        PremiumBackwardInduction(params, pstar, premium)
     )
     observe_solver("premium", time.perf_counter() - started)
     return equilibrium

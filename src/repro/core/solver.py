@@ -12,9 +12,8 @@ from __future__ import annotations
 import time
 
 from repro.core.backward_induction import BackwardInduction
-from repro.core.equilibrium import StageUtilities, SwapEquilibrium
+from repro.core.equilibrium import SwapEquilibrium
 from repro.core.parameters import SwapParameters
-from repro.core.strategy import AliceStrategy, BobStrategy
 from repro.obs.metrics import get_registry
 
 __all__ = ["solve_swap_game"]
@@ -53,31 +52,10 @@ def solve_swap_game(params: SwapParameters, pstar: float) -> SwapEquilibrium:
     Returns
     -------
     SwapEquilibrium
-        Thresholds, regions, ``t1`` utilities, success rate and
-        executable strategies.
+        Thresholds, regions, ``t1`` utilities and success rate, with
+        the decisions and executable strategies they imply.
     """
     started = time.perf_counter()
-    solver = BackwardInduction(params, pstar)
-    region = solver.bob_t2_region()
-    alice_t1 = StageUtilities(cont=solver.alice_t1_cont(), stop=solver.alice_t1_stop())
-    bob_t1 = StageUtilities(cont=solver.bob_t1_cont(), stop=solver.bob_t1_stop())
-    initiated = alice_t1.advantage > 0.0
-    alice_strategy = AliceStrategy(
-        initiate_at_t1=initiated,
-        p3_threshold=solver.p3_threshold(),
-    )
-    bob_strategy = BobStrategy(t2_region=region)
-    equilibrium = SwapEquilibrium(
-        params=params,
-        pstar=float(pstar),
-        p3_threshold=solver.p3_threshold(),
-        bob_t2_region=region,
-        alice_t1=alice_t1,
-        bob_t1=bob_t1,
-        success_rate=solver.success_rate(),
-        initiated=initiated,
-        alice_strategy=alice_strategy,
-        bob_strategy=bob_strategy,
-    )
+    equilibrium = SwapEquilibrium.from_solver(BackwardInduction(params, pstar))
     observe_solver("swap", time.perf_counter() - started)
     return equilibrium

@@ -95,11 +95,10 @@ class BobStrategy:
 def equilibrium_strategies(
     params: SwapParameters, pstar: float
 ) -> "tuple[AliceStrategy, BobStrategy]":
-    """Derive both agents' equilibrium policies for a fixed ``pstar``."""
-    solver = BackwardInduction(params, pstar)
-    alice = AliceStrategy(
-        initiate_at_t1=solver.alice_initiates(),
-        p3_threshold=solver.p3_threshold(),
-    )
-    bob = BobStrategy(t2_region=solver.bob_t2_region())
-    return alice, bob
+    """Both agents' equilibrium policies for a fixed ``pstar``: the
+    strategies of the basic game's record
+    (:class:`~repro.core.equilibrium.SolvedGame`)."""
+    from repro.core.equilibrium import SwapEquilibrium  # it imports this module
+
+    game = SwapEquilibrium.from_solver(BackwardInduction(params, pstar))
+    return game.alice_strategy, game.bob_strategy

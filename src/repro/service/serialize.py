@@ -6,19 +6,24 @@ result objects as plain JSON. Floats survive exactly: Python's
 ``decode_result(json.loads(json.dumps(encode_result(x))))``
 reproduces every threshold bit-for-bit (property-tested).
 
-Strategies are *derived* state -- ``AliceStrategy``/``BobStrategy``
-are rebuilt from the stored thresholds and regions exactly the way
-the solvers build them, rather than serialised redundantly.
+The two equilibrium kinds are coded from the record's own field list
+(:class:`~repro.core.equilibrium.SolvedGame`): ``kind``, then every
+stored field in declaration order, then the derived ``t1`` decisions
+(``initiated``; or ``alice_engages`` and ``bob_engages``). Replies
+are dumped without ``sort_keys``, so that order is part of the bytes.
+Decoding reads the stored fields and ignores the derived keys: the
+decisions and strategies are rebuilt by the record's properties, not
+stored.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Dict, List
 
 from repro.core.collateral import CollateralEquilibrium
 from repro.core.equilibrium import StageUtilities, SwapEquilibrium
 from repro.core.parameters import SwapParameters
-from repro.core.strategy import AliceStrategy, BobStrategy
 from repro.service.executor import Result, ValidationResult
 from repro.simulation.montecarlo import MonteCarloResult
 from repro.stochastic.rootfind import IntervalUnion
@@ -43,8 +48,48 @@ def _decode_stage(data: Dict[str, float]) -> StageUtilities:
     return StageUtilities(cont=float(data["cont"]), stop=float(data["stop"]))
 
 
+#: Codecs of the stored fields that are not plain floats; every
+#: equilibrium record has these four.
+_FIELD_CODECS = {
+    "params": (SwapParameters.to_dict, SwapParameters.from_dict),
+    "bob_t2_region": (_encode_region, _decode_region),
+    "alice_t1": (_encode_stage, _decode_stage),
+    "bob_t1": (_encode_stage, _decode_stage),
+}
+
+#: Each equilibrium record's ``kind`` and the derived keys written
+#: after its stored fields.
+_RECORDS = {
+    SwapEquilibrium: ("swap_equilibrium", ("initiated",)),
+    CollateralEquilibrium: ("collateral_equilibrium", ("alice_engages", "bob_engages")),
+}
+
+#: Per ``kind``: the record type and each stored field's decoder.
+_DECODERS = {
+    kind: (
+        record,
+        tuple(
+            (f.name, _FIELD_CODECS[f.name][1] if f.name in _FIELD_CODECS else float)
+            for f in fields(record)
+        ),
+    )
+    for record, (kind, _) in _RECORDS.items()
+}
+
+
 def encode_result(result: Result) -> Dict[str, object]:
     """Encode any service result into a tagged JSON-safe dict."""
+    record = _RECORDS.get(type(result))
+    if record is not None:
+        kind, derived = record
+        # a dataclass's instance dict holds its fields in declaration
+        # order; re-assigning a key encodes it in place
+        payload: Dict[str, object] = {"kind": kind, **vars(result)}
+        for name, (encode, _) in _FIELD_CODECS.items():
+            payload[name] = encode(payload[name])
+        for name in derived:
+            payload[name] = getattr(result, name)
+        return payload
     # imported lazily: repro.surface depends on this module (via the
     # cache), so a top-level import would be circular
     from repro.surface.interpolate import SurfaceAnswer
@@ -56,32 +101,6 @@ def encode_result(result: Result) -> Dict[str, object]:
             "collateral": result.collateral,
             "success_rate": result.success_rate,
             "bound": result.bound,
-        }
-    if isinstance(result, CollateralEquilibrium):
-        return {
-            "kind": "collateral_equilibrium",
-            "params": result.params.to_dict(),
-            "pstar": result.pstar,
-            "collateral": result.collateral,
-            "p3_threshold": result.p3_threshold,
-            "bob_t2_region": _encode_region(result.bob_t2_region),
-            "alice_t1": _encode_stage(result.alice_t1),
-            "bob_t1": _encode_stage(result.bob_t1),
-            "success_rate": result.success_rate,
-            "alice_engages": result.alice_engages,
-            "bob_engages": result.bob_engages,
-        }
-    if isinstance(result, SwapEquilibrium):
-        return {
-            "kind": "swap_equilibrium",
-            "params": result.params.to_dict(),
-            "pstar": result.pstar,
-            "p3_threshold": result.p3_threshold,
-            "bob_t2_region": _encode_region(result.bob_t2_region),
-            "alice_t1": _encode_stage(result.alice_t1),
-            "bob_t1": _encode_stage(result.bob_t1),
-            "success_rate": result.success_rate,
-            "initiated": result.initiated,
         }
     if isinstance(result, SwapGraphResult):
         payload = result.to_dict()
@@ -109,6 +128,9 @@ def encode_result(result: Result) -> Dict[str, object]:
 def decode_result(data: Dict[str, object]) -> Result:
     """Rebuild the result object from its :func:`encode_result` form."""
     kind = data.get("kind")
+    if kind in _DECODERS:
+        record, decoders = _DECODERS[kind]
+        return record(**{name: decode(data[name]) for name, decode in decoders})
     if kind == "surface_answer":
         from repro.surface.interpolate import SurfaceAnswer
 
@@ -117,46 +139,6 @@ def decode_result(data: Dict[str, object]) -> Result:
             collateral=float(data["collateral"]),  # type: ignore[arg-type]
             success_rate=float(data["success_rate"]),  # type: ignore[arg-type]
             bound=float(data["bound"]),  # type: ignore[arg-type]
-        )
-    if kind == "swap_equilibrium":
-        params = SwapParameters.from_dict(data["params"])  # type: ignore[arg-type]
-        region = _decode_region(data["bob_t2_region"])  # type: ignore[arg-type]
-        initiated = bool(data["initiated"])
-        p3_threshold = float(data["p3_threshold"])
-        return SwapEquilibrium(
-            params=params,
-            pstar=float(data["pstar"]),  # type: ignore[arg-type]
-            p3_threshold=p3_threshold,
-            bob_t2_region=region,
-            alice_t1=_decode_stage(data["alice_t1"]),  # type: ignore[arg-type]
-            bob_t1=_decode_stage(data["bob_t1"]),  # type: ignore[arg-type]
-            success_rate=float(data["success_rate"]),  # type: ignore[arg-type]
-            initiated=initiated,
-            alice_strategy=AliceStrategy(
-                initiate_at_t1=initiated, p3_threshold=p3_threshold
-            ),
-            bob_strategy=BobStrategy(t2_region=region),
-        )
-    if kind == "collateral_equilibrium":
-        params = SwapParameters.from_dict(data["params"])  # type: ignore[arg-type]
-        region = _decode_region(data["bob_t2_region"])  # type: ignore[arg-type]
-        alice_engages = bool(data["alice_engages"])
-        p3_threshold = float(data["p3_threshold"])
-        return CollateralEquilibrium(
-            params=params,
-            pstar=float(data["pstar"]),  # type: ignore[arg-type]
-            collateral=float(data["collateral"]),  # type: ignore[arg-type]
-            p3_threshold=p3_threshold,
-            bob_t2_region=region,
-            alice_t1=_decode_stage(data["alice_t1"]),  # type: ignore[arg-type]
-            bob_t1=_decode_stage(data["bob_t1"]),  # type: ignore[arg-type]
-            success_rate=float(data["success_rate"]),  # type: ignore[arg-type]
-            alice_engages=alice_engages,
-            bob_engages=bool(data["bob_engages"]),
-            alice_strategy=AliceStrategy(
-                initiate_at_t1=alice_engages, p3_threshold=p3_threshold
-            ),
-            bob_strategy=BobStrategy(t2_region=region),
         )
     if kind == "swap_graph_result":
         return SwapGraphResult.from_dict(data)

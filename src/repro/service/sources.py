@@ -17,17 +17,21 @@ cheapest first::
                 small solve groups, validations, swap graphs and groups
                 the engine refused (exact; the last rung never refuses)
 
-The engine's group-size cut comes from measurement (1 CPU per process,
-median of 200): ``solve_grid`` costs 1.74/1.83/2.23/2.78 ms at
-n = 1/2/3/16 points, the scalar solve 0.77 ms per point, so one array
-pass wins from 3 points up. Single solves therefore stay scalar.
+The engine's group-size cut comes from measurement. On a 2-CPU host
+(Python 3.11, NumPy 2.4, medians of 80 calls at Table III, three
+rounds), ``solve_grid`` took 0.95-0.98, 1.07-1.08 and 1.08-1.12 ms at
+n = 1, 2 and 3 points, and a scalar solve 0.68-0.70 ms. One array pass
+wins from 2 points up on those numbers; the cut stays at 3, where it
+was set on a 1-CPU host, and single solves stay scalar.
 
 Each source answers the slots it can and passes the rest down in
 request order. Every tier *transition* is observable: tolerance-granted
 solves that the surface could not certify count
 ``repro_degraded_total{path="surface_to_engine"}``, and each engine
-group failure counts ``repro_degraded_total{path="engine_to_scalar"}``
-(its group then falls to the scalar rung). Surface hits land in the
+group fault counts ``repro_degraded_total{path="engine_to_scalar"}``
+(its group then falls to the scalar rung). A point the model refuses
+(its Eq. 18 threshold is not finite) is no engine fault: the engine
+answers it the scalar rung's ``solve_failed``. Surface hits land in the
 ``repro_surface_*`` families via the surface itself.
 
 The chain is deliberately dumb plumbing: sources own *how* to answer,
@@ -40,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Union
 
+from repro.core.backward_induction import collateral_schedule
 from repro.obs.logging import get_logger
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import span
@@ -180,8 +185,12 @@ class EngineSource(AnswerSource):
     """One vectorised grid-engine pass per large-enough solve group.
 
     Solves are grouped by ``(params, collateral)``; groups smaller than
-    :data:`ENGINE_MIN_POINTS` fall through untouched. On a group's
-    failure the source logs, counts
+    :data:`ENGINE_MIN_POINTS` fall through untouched. A grid refused by
+    the model -- some point's Eq. 18 threshold is not finite, which
+    fails the whole pass -- settles each such point with the typed,
+    uncached ``solve_failed`` the scalar rung gives it, and passes the
+    group's other points down. On any other failure of a group (an
+    engine fault) the source logs, counts
     ``repro_degraded_total{path="engine_to_scalar"}`` once, and passes
     that group down -- the scalar rung answers it exactly.
     """
@@ -214,6 +223,8 @@ class EngineSource(AnswerSource):
                         collateral=collateral,
                     )
             except Exception as exc:
+                if isinstance(exc, ValueError) and self._refuse(group):
+                    continue
                 _degraded_counter().inc(path="engine_to_scalar")
                 get_logger().log(
                     "sweep_degraded",
@@ -227,6 +238,20 @@ class EngineSource(AnswerSource):
                 slot.settle(equilibrium, self.name)
                 self.cache.put(slot.key, equilibrium)
         return _unanswered(slots)
+
+    def _refuse(self, group: Sequence[Slot]) -> bool:
+        """Settle each point whose Eq. 18 threshold is not finite with
+        the scalar solve's own error; whether there was one."""
+        refused = False
+        for slot in group:
+            request = slot.request
+            schedule = collateral_schedule(request.params, request.pstar, request.collateral)
+            try:
+                schedule.p3_threshold()
+            except ValueError as exc:
+                slot.settle(SolveFailedError(f"{exc.__class__.__name__}: {exc}"), self.name)
+                refused = True
+        return refused
 
 
 class ScalarSource(AnswerSource):

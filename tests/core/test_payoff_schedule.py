@@ -19,6 +19,7 @@ buys by construction:
 from __future__ import annotations
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -257,3 +258,18 @@ class TestNonFiniteThreshold:
             basic_schedule(bad, np.array([1.5, 2.0, 2.5])).p3_threshold()
         with pytest.raises(ValueError, match="not finite"):
             solve_grid(bad, [1.5, 2.0, 2.5], collateral=0.5)
+
+    def test_an_overflowing_threshold_refuses_without_a_warning(self, params):
+        """``mu = -183`` makes Alice's discounted claim subnormal: the
+        threshold overflows at ``P* = 2`` (a refusal, and no numeric
+        warning before it) and stays finite at tiny ``P*``."""
+        from repro.core.solver import solve_swap_game
+
+        bad = params.replace(mu=-183.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite"):
+                solve_swap_game(bad, 2.0)
+            with pytest.raises(ValueError, match="not finite"):
+                solve_grid(bad, [1e-300, 1e-290, 2.0])
+            assert math.isfinite(solve_swap_game(bad, 1e-290).p3_threshold)

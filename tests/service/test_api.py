@@ -319,3 +319,105 @@ class TestNonFiniteThreshold:
         self._assert_typed_and_uncached(
             service, self._requests(2.0, kind="validate", n_paths=100)
         )
+
+
+class TestEngineRefusals:
+    """A grid the model refuses is no engine fault: the engine answers
+    each refused point the scalar rung's typed error, counts nothing as
+    degraded, and leaves the group's other points their answers."""
+
+    @pytest.fixture()
+    def registry(self):
+        from repro.obs.metrics import Registry, use_registry
+
+        fresh = Registry()
+        with use_registry(fresh):
+            yield fresh
+
+    @pytest.fixture()
+    def scalar_calls(self, monkeypatch):
+        from repro.service.sources import ScalarSource
+
+        calls = []
+        answer = ScalarSource.answer
+
+        def recording(source, slots):
+            calls.append([slot.request.pstar for slot in slots])
+            return answer(source, slots)
+
+        monkeypatch.setattr(ScalarSource, "answer", recording)
+        return calls
+
+    @staticmethod
+    def _degraded(registry):
+        family = registry.snapshot().get("repro_degraded_total")
+        if family is None:
+            return 0.0
+        return sum(
+            s["value"] for s in family["samples"] if s["labels"]["path"] == "engine_to_scalar"
+        )
+
+    @staticmethod
+    def _scalar_error(request):
+        with pytest.raises(ServiceError) as info:
+            execute_request(request)
+        return info.value
+
+    def _requests(self, overrides, *pstars):
+        from repro.service.requests import parse_request
+
+        return [
+            parse_request({"pstar": p, "params": overrides, "kind": "solve"})
+            for p in pstars
+        ]
+
+    def test_a_wholly_refused_group(self, registry, scalar_calls):
+        requests = self._requests({"r_a": 1000}, 1.5, 1.6, 1.7)
+        service = SwapService()
+        for _ in range(2):
+            items = service.run_batch(requests)
+            for item, request in zip(items, requests):
+                expected = self._scalar_error(request)
+                assert not item.ok and not item.cached
+                assert item.source == "engine"
+                assert item.error.code == expected.code == "solve_failed"
+                assert item.error.message == str(expected)
+        assert scalar_calls == []
+        assert self._degraded(registry) == 0.0
+        assert service.stats()["memory"]["puts"] == 0
+
+    def test_a_mixed_group(self, registry, scalar_calls):
+        """Table III at ``mu = -183``: the thresholds at ``P* = 1e-300``
+        and ``1e-290`` are finite (5.98e17, 5.98e27), the one at 2.0
+        is not."""
+        requests = self._requests({"mu": -183.0}, 1e-300, 1e-290, 2.0)
+        service = SwapService()
+        items = service.run_batch(requests)
+        for item, request in zip(items[:2], requests):
+            assert item.ok and item.source == "scalar"
+            assert item.value == solve_swap_game(request.params, request.pstar)
+        assert [item.value.p3_threshold for item in items[:2]] == pytest.approx(
+            [5.978445824490353e17, 5.978445824490352e27]
+        )
+        refused = items[2]
+        expected = self._scalar_error(requests[2])
+        assert not refused.ok and refused.source == "engine"
+        assert refused.error.code == "solve_failed"
+        assert refused.error.message == str(expected)
+        assert "not finite" in refused.error.message
+        assert scalar_calls == [[1e-300, 1e-290]]
+        assert self._degraded(registry) == 0.0
+        # the refusal was not cached: alone now, the point goes scalar
+        again = service.run_batch(requests)
+        assert [item.source for item in again] == ["cache", "cache", "scalar"]
+        assert again[2].error == refused.error
+
+    def test_an_injected_engine_error_still_degrades(self, registry, scalar_calls):
+        from repro.faults import FaultSpec, InjectionPlan
+
+        plan = InjectionPlan(faults=(FaultSpec(kind="engine_error", count=1),), seed=0)
+        requests = self._requests({"r_a": 1000}, 1.5, 1.6, 1.7)
+        items = SwapService(faults=plan).run_batch(requests)
+        assert [item.source for item in items] == ["scalar"] * 3
+        assert all(item.error.code == "solve_failed" for item in items)
+        assert self._degraded(registry) == 1.0

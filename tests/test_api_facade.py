@@ -65,6 +65,14 @@ class TestSuccessRateDelegation:
             collateral_success_rate(params, 2.0, 0.5)
         )
 
+    @pytest.mark.parametrize("pstar", [1.5, 2.0, 2.6])
+    @pytest.mark.parametrize("collateral", [0.0, 0.5])
+    def test_the_rate_is_the_solved_games_rate(self, params, pstar, collateral):
+        """One question, one answer: the same scalar solve as ``solve``."""
+        assert success_rate(params, pstar, collateral=collateral) == (
+            solve(params, pstar, collateral=collateral).success_rate
+        )
+
 
 def _assert_equilibria_close(got, want, tol=1e-9):
     """Field-wise parity between an engine-solved and a scalar equilibrium.
